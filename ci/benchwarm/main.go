@@ -1,5 +1,6 @@
 // Command benchwarm measures the fidelity gate's wall clock in its three
-// execution modes and writes the result as a BENCH_*.json record:
+// execution modes, over the same expectations the CI gate checks, and
+// writes the result as a BENCH_*.json record:
 //
 //   - gate_cold: warm-state reuse disabled (exp.SetWarmReuse(false)) with
 //     fresh caches — the pre-reuse baseline, where every grid cell builds
@@ -62,7 +63,9 @@ func main() {
 	flag.Parse()
 
 	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Seed: *seed}
-	exps := fidelity.Expectations()
+	// The same expectation set the CI gate checks (`deucereport check
+	// -experiment all`): the paper's figures plus the extension drills.
+	exps := append(fidelity.Expectations(), fidelity.ExtensionExpectations()...)
 
 	gate := func(label string) (*fidelity.Report, map[string]*exp.Table, time.Duration) {
 		exp.ResetCache()

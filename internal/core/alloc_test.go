@@ -3,6 +3,9 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"deuce/internal/pcmdev"
+	"deuce/internal/wear"
 )
 
 // The steady-state Write path of every encrypted scheme is required to be
@@ -13,7 +16,13 @@ import (
 // both candidate encodings.
 func testWriteAllocs(t *testing.T, kind Kind, want float64) {
 	t.Helper()
-	s, err := New(kind, Params{Lines: 64})
+	testWriteAllocsOn(t, kind, Params{Lines: 64}, want)
+}
+
+// testWriteAllocsOn is testWriteAllocs over the storage params builds.
+func testWriteAllocsOn(t *testing.T, kind Kind, params Params, want float64) {
+	t.Helper()
+	s, err := New(kind, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +64,19 @@ func TestWriteZeroAllocsAddrPad(t *testing.T)  { testWriteAllocs(t, KindAddrPad,
 // the shared scratch, SlotFlips staged in the scheme-owned buffer, the
 // preallocated intrusive LRU) that used to cost 5 allocations per op.
 func TestWriteZeroAllocsINVMM(t *testing.T) { testWriteAllocs(t, KindINVMM, 0) }
+
+// A scheme on a wear-leveled array stays allocation-free: Start-Gap with
+// HWL rotation and a charged gap move after every write exercises the
+// rotation scratch on the write, the peek and the gap move, and the
+// staging of SlotFlips across the second inner write.
+func TestWriteZeroAllocsDeuceOnStartGap(t *testing.T) {
+	testWriteAllocsOn(t, KindDeuce, Params{
+		Lines: 64,
+		MakeArray: func(cfg pcmdev.Config) (pcmdev.Array, error) {
+			return wear.NewStartGap(cfg, wear.StartGapConfig{Psi: 1, Mode: wear.HWL})
+		},
+	}, 0)
+}
 
 // The pad cache must not reintroduce allocations once its slots are warm.
 func TestWriteZeroAllocsDeuceWithPadCache(t *testing.T) {

@@ -159,13 +159,54 @@ func TestTreeCriticalPath(t *testing.T) {
 	for _, n := range path {
 		names = append(names, n.Name)
 	}
-	want := []string{"fidelity.check", "plan.execute", "cell/flip"}
+	// plan.build ended before plan.execute started, so it gated it; inside
+	// plan.execute the timing.shard record ends exactly when the second
+	// cell starts, while the first cell overlaps the record and is skipped.
+	want := []string{"fidelity.check", "plan.build", "plan.execute", "timing.shard", "cell/flip"}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("critical path = %v, want %v", names, want)
+	}
+	// The gating cell is the late-ending one.
+	if got := path[4].Attr("key"); got != "flip|mcf|invmm" {
+		t.Errorf("critical cell key = %q, want the later cell flip|mcf|invmm", got)
+	}
+}
+
+// TestCriticalPathWalksBackwards pins the backward walk on a hand-built
+// tree: a long phase that ends early must still be on the path when the
+// late-ending span started only after it, overlapping parallel siblings
+// are skipped, and the walk recurses into every span on the chain.
+func TestCriticalPathWalksBackwards(t *testing.T) {
+	node := func(name string, start, dur int64, children ...*Node) *Node {
+		return &Node{Name: name, StartNs: start, DurNs: dur, Children: children}
+	}
+	tree := &Tree{Roots: []*Node{
+		node("early-root", 0, 5),
+		node("check", 0, 100,
+			node("build", 0, 10,
+				node("parse", 0, 4),
+				node("index", 5, 5)),
+			node("execute", 10, 80,
+				node("cell-a", 10, 70, // the long cell that gated evaluate
+					node("warmup", 10, 20),
+					node("measure", 30, 50)),
+				node("cell-b", 12, 30),  // parallel, finished early
+				node("cell-c", 45, 30)), // parallel, overlaps cell-a's end
+			node("evaluate", 90, 1,
+				node("tick", 90, 0),
+				node("tock", 90, 0))),
+	}}
+	var names []string
+	for _, n := range tree.CriticalPath() {
+		names = append(names, n.Name)
+	}
+	want := []string{"check", "build", "parse", "index", "execute", "cell-a",
+		"warmup", "measure", "evaluate", "tick", "tock"}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Errorf("critical path = %v, want %v", names, want)
 	}
-	// The gating cell is the late-ending one.
-	if got := path[2].Attr("key"); got != "flip|mcf|invmm" {
-		t.Errorf("critical cell key = %q, want the later cell flip|mcf|invmm", got)
+	if got := (&Tree{}).CriticalPath(); len(got) != 0 {
+		t.Errorf("empty tree critical path = %v, want empty", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package span
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -184,30 +185,70 @@ func nodeStructure(n *Node) string {
 	return b.String()
 }
 
-// CriticalPath returns the chain of spans that gated the tree's completion:
-// starting from the root with the latest end time, it repeatedly descends
-// into the child with the latest end — the child that determined when its
-// parent could finish. The returned slice runs root to leaf; it is empty
-// for an empty tree.
+// CriticalPath returns the spans that gated the tree's completion. It
+// starts from the root with the latest end and walks each span's children
+// backwards in time: the child that ended last, then the child that ended
+// latest at or before that one started, and so on until no child ended
+// before the current one started. Each span on that chain gated its
+// successor (or its parent's end), so the path descends into every one of
+// them the same way. Parallel siblings that overlap a chosen span are
+// skipped: they did not gate anything the chain waited on.
+//
+// The result lists the path in execution order, each span before the
+// path inside it — the root first, then its chain's first span and that
+// span's own path, and so on. It is empty for an empty tree.
 func (t *Tree) CriticalPath() []*Node {
-	var cur *Node
+	var root *Node
 	for _, r := range t.Roots {
-		if cur == nil || r.EndNs() > cur.EndNs() {
-			cur = r
+		if root == nil || r.EndNs() > root.EndNs() {
+			root = r
 		}
+	}
+	if root == nil {
+		return nil
 	}
 	var path []*Node
-	for cur != nil {
-		path = append(path, cur)
-		var next *Node
-		for _, c := range cur.Children {
-			if next == nil || c.EndNs() > next.EndNs() {
-				next = c
-			}
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		path = append(path, n)
+		for _, c := range gatingChain(n.Children) {
+			walk(c)
 		}
-		cur = next
 	}
+	walk(root)
 	return path
+}
+
+// gatingChain picks, among siblings, the last-ending span and then, going
+// back in time, the span that ended latest no later than the previous
+// pick started. The chain is returned in execution order.
+func gatingChain(children []*Node) []*Node {
+	// Latest end first; on equal ends the earlier start (the span that
+	// covers more of the wait) wins. Full ties are considered in reverse
+	// sibling order, so they come out in sibling order below.
+	byEnd := make([]*Node, len(children))
+	for i, c := range children {
+		byEnd[len(children)-1-i] = c
+	}
+	sort.SliceStable(byEnd, func(i, j int) bool {
+		a, b := byEnd[i], byEnd[j]
+		if a.EndNs() != b.EndNs() {
+			return a.EndNs() > b.EndNs()
+		}
+		return a.StartNs < b.StartNs
+	})
+	var chain []*Node
+	bound := int64(math.MaxInt64)
+	for _, c := range byEnd {
+		if c.EndNs() <= bound {
+			chain = append(chain, c)
+			bound = c.StartNs
+		}
+	}
+	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
+		chain[i], chain[j] = chain[j], chain[i]
+	}
+	return chain
 }
 
 // Walk visits every node in the tree, parents before children.

@@ -22,7 +22,6 @@
 package timing
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 
@@ -156,18 +155,58 @@ const (
 	evSlotDone
 )
 
+// eventHeap is a binary min-heap on at. push and pop are container/heap's
+// Push/Pop with its up/down sift loops ported verbatim onto the concrete
+// type, so events with equal times pop in exactly the order they would
+// through container/heap — the simulation's results depend on that order —
+// without boxing every event in an interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int            { return len(h) }
-func (h eventHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
+// push adds e to the heap.
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	h.down(0, n)
+	e := old[n]
+	*h = old[:n]
 	return e
+}
+
+func (h eventHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].at < h[i].at) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h eventHeap) down(i0, n int) {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].at < h[j1].at {
+			j = j2 // = 2*i + 2  // right child
+		}
+		if !(h[j].at < h[i].at) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // bankState tracks one bank's occupancy.
@@ -175,7 +214,7 @@ type bankState struct {
 	busy       bool
 	busyWrite  bool   // current service is a write slot
 	token      uint64 // bumps to invalidate a cancelled slot's completion
-	readQ      []pendingRead
+	readQ      fifo[pendingRead]
 	writeSlots int // backlog of write slots queued at this bank
 }
 
@@ -184,11 +223,41 @@ type pendingRead struct {
 	arrived float64
 }
 
+// fifo is a first-in first-out queue that reuses its backing array: pops
+// advance a head index, and the array is compacted only when a push finds
+// it full, so a queue allocates only while it grows to its peak length.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return v
+}
+
 // coreState tracks one core.
 type coreState struct {
-	time float64 // when the core can issue its next event
-	next *trace.Event
-	done bool
+	time    float64     // when the core can issue its next event
+	next    trace.Event // the event to issue, valid while pending
+	pending bool
+	done    bool
 }
 
 // Simulator runs a trace through the machine.
@@ -204,7 +273,7 @@ type Simulator struct {
 
 	res          Result
 	readLatSum   float64
-	pendingByCPU [][]trace.Event
+	pendingByCPU []fifo[trace.Event]
 	src          trace.Source
 	srcDone      bool
 	remaining    int // trace events left to issue
@@ -227,7 +296,7 @@ func NewSimulator(cfg Config, src trace.Source, coster SlotCoster) (*Simulator, 
 		coster:       coster,
 		banks:        make([]bankState, cfg.Banks),
 		cores:        make([]coreState, cfg.Cores),
-		pendingByCPU: make([][]trace.Event, cfg.Cores),
+		pendingByCPU: make([]fifo[trace.Event], cfg.Cores),
 		src:          src,
 		waiters:      make([][]int, cfg.Banks),
 	}
@@ -240,10 +309,8 @@ func (s *Simulator) nsPerInstr() float64 { return 1 / (s.cfg.IPC * s.cfg.ClockGH
 // pull fetches the next trace event for a core, buffering events of other
 // cores encountered along the way. Returns false at end of trace.
 func (s *Simulator) pull(core int) (trace.Event, bool) {
-	if q := s.pendingByCPU[core]; len(q) > 0 {
-		e := q[0]
-		s.pendingByCPU[core] = q[1:]
-		return e, true
+	if q := &s.pendingByCPU[core]; q.len() > 0 {
+		return q.pop(), true
 	}
 	for !s.srcDone {
 		e, err := s.src.Next()
@@ -255,7 +322,7 @@ func (s *Simulator) pull(core int) (trace.Event, bool) {
 		if cpu == core {
 			return e, true
 		}
-		s.pendingByCPU[cpu] = append(s.pendingByCPU[cpu], e)
+		s.pendingByCPU[cpu].push(e)
 	}
 	return trace.Event{}, false
 }
@@ -275,7 +342,7 @@ func (s *Simulator) Run(maxEvents int) (Result, error) {
 	}
 
 	for len(s.heap) > 0 {
-		e := heap.Pop(&s.heap).(event)
+		e := s.heap.pop()
 		switch e.kind {
 		case evIssue:
 			s.issue(e.core, e.at)
@@ -315,26 +382,27 @@ func (s *Simulator) scheduleNextIssue(core int) {
 	s.remaining--
 	c := &s.cores[core]
 	gapNs := float64(e.Gap) * s.nsPerInstr()
-	c.next = &e
+	c.next = e
+	c.pending = true
 	c.time += gapNs
 	s.res.Instructions += uint64(e.Gap)
-	heap.Push(&s.heap, event{at: c.time, kind: evIssue, core: core})
+	s.heap.push(event{at: c.time, kind: evIssue, core: core})
 }
 
 // issue processes a core's trace event at time t.
 func (s *Simulator) issue(core int, t float64) {
 	c := &s.cores[core]
-	e := c.next
-	c.next = nil
-	if e == nil {
+	if !c.pending {
 		return
 	}
+	e := c.next
+	c.pending = false
 	bank := int(e.Line) % s.cfg.Banks
 	switch e.Kind {
 	case trace.Read:
 		s.res.Reads++
 		b := &s.banks[bank]
-		b.readQ = append(b.readQ, pendingRead{core: core, arrived: t})
+		b.readQ.push(pendingRead{core: core, arrived: t})
 		if s.cfg.WritePausing && b.busy && b.busyWrite {
 			// Cancel the in-flight slot: its completion event goes
 			// stale and its work stays in the backlog for a retry.
@@ -385,7 +453,7 @@ func (s *Simulator) coreReady(core int, t float64) {
 	if t > c.time {
 		c.time = t
 	}
-	if c.next == nil && !c.done {
+	if !c.pending && !c.done {
 		s.scheduleNextIssue(core)
 	}
 }
@@ -397,21 +465,20 @@ func (s *Simulator) kickBank(bank int, t float64) {
 	if b.busy {
 		return
 	}
-	if len(b.readQ) > 0 {
-		r := b.readQ[0]
-		b.readQ = b.readQ[1:]
+	if b.readQ.len() > 0 {
+		r := b.readQ.pop()
 		b.busy = true
 		b.busyWrite = false
 		done := t + s.cfg.ReadLatencyNs
 		s.readLatSum += done - r.arrived
-		heap.Push(&s.heap, event{at: done, kind: evReadDone, core: r.core, bank: bank})
+		s.heap.push(event{at: done, kind: evReadDone, core: r.core, bank: bank})
 		return
 	}
 	if b.writeSlots > 0 && s.activeSlots < s.cfg.MaxConcurrentSlots {
 		b.busy = true
 		b.busyWrite = true
 		s.activeSlots++
-		heap.Push(&s.heap, event{at: t + s.cfg.SlotLatencyNs, kind: evSlotDone, bank: bank, token: b.token})
+		s.heap.push(event{at: t + s.cfg.SlotLatencyNs, kind: evSlotDone, bank: bank, token: b.token})
 	}
 }
 
@@ -455,8 +522,8 @@ func (s *Simulator) slotDone(bank int, t float64) {
 func (s *Simulator) DumpState(w io.Writer) {
 	fmt.Fprintf(w, "activeSlots=%d heap=%d\n", s.activeSlots, len(s.heap))
 	for i, b := range s.banks {
-		if b.busy || b.writeSlots > 0 || len(b.readQ) > 0 {
-			fmt.Fprintf(w, "bank %d: busy=%v readQ=%d writeSlots=%d\n", i, b.busy, len(b.readQ), b.writeSlots)
+		if b.busy || b.writeSlots > 0 || b.readQ.len() > 0 {
+			fmt.Fprintf(w, "bank %d: busy=%v readQ=%d writeSlots=%d\n", i, b.busy, b.readQ.len(), b.writeSlots)
 		}
 	}
 }

@@ -40,7 +40,10 @@ type SecurityRefresh struct {
 	writesSinceStep int
 	swaps           uint64
 
-	totalBits int
+	rot      *rotator // HWL shifter and image scratch
+	flips    []int    // SlotFlips of the last Write, kept across its step
+	pairData []byte   // one line of the pair a step swaps
+	pairMeta []byte
 }
 
 // NewSecurityRefresh builds a Security Refresh array over the logical
@@ -67,14 +70,16 @@ func NewSecurityRefresh(devCfg pcmdev.Config, cfg StartGapConfig, seed int64) (*
 	}
 	rng := rand.New(rand.NewSource(seed))
 	s := &SecurityRefresh{
-		inner:     inner,
-		cfg:       cfg,
-		rng:       rng,
-		n:         devCfg.Lines,
-		mask:      uint64(devCfg.Lines - 1),
-		kc:        0, // identity mapping at boot: fresh array reads back zeroes
-		totalBits: inner.Config().TotalBitsPerLine(),
+		inner: inner,
+		cfg:   cfg,
+		rng:   rng,
+		n:     devCfg.Lines,
+		mask:  uint64(devCfg.Lines - 1),
+		kc:    0, // identity mapping at boot: fresh array reads back zeroes
+		rot:   newRotator(inner.Config()),
 	}
+	s.pairData = make([]byte, s.rot.lineBytes)
+	s.pairMeta = make([]byte, s.rot.metaBytes)
 	s.kn = s.freshKey()
 	return s, nil
 }
@@ -129,17 +134,12 @@ func (s *SecurityRefresh) roundsOf(line uint64) uint64 {
 func (s *SecurityRefresh) rotation(line uint64) int {
 	switch s.cfg.Mode {
 	case HWL:
-		return int(s.roundsOf(line) % uint64(s.totalBits))
+		return int(s.roundsOf(line) % uint64(s.rot.n))
 	case HWLHashed:
-		return int(mix64(s.roundsOf(line), line) % uint64(s.totalBits))
+		return int(mix64(s.roundsOf(line), line) % uint64(s.rot.n))
 	default:
 		return 0
 	}
-}
-
-// rotate applies the shared HWL shifter.
-func (s *SecurityRefresh) rotate(data, meta []byte, k int) (rdata, rmeta []byte) {
-	return rotateImage(s.inner.Config(), s.totalBits, data, meta, k)
 }
 
 func (s *SecurityRefresh) metaOrNil(m []byte) []byte {
@@ -152,7 +152,7 @@ func (s *SecurityRefresh) metaOrNil(m []byte) []byte {
 // Write implements pcmdev.Array.
 func (s *SecurityRefresh) Write(line uint64, data, meta []byte) pcmdev.WriteResult {
 	s.checkLine(line)
-	rdata, rmeta := s.rotate(data, meta, s.rotation(line))
+	rdata, rmeta := s.rot.rotate(data, meta, s.rotation(line))
 	res := s.inner.Write(s.physical(line), rdata, s.metaOrNil(rmeta))
 
 	s.writesSinceStep++
@@ -161,47 +161,48 @@ func (s *SecurityRefresh) Write(line uint64, data, meta []byte) pcmdev.WriteResu
 		if !s.cfg.FreeGapMoves {
 			// The pair-swap below writes the inner device again,
 			// clobbering the scratch buffer res.SlotFlips aliases.
-			res.SlotFlips = append([]int(nil), res.SlotFlips...)
+			s.flips = append(s.flips[:0], res.SlotFlips...)
+			res.SlotFlips = s.flips
 		}
 		s.step()
 	}
 	return res
 }
 
-// Read implements pcmdev.Array.
+// Read implements pcmdev.Array. The returned slices are the caller's.
 func (s *SecurityRefresh) Read(line uint64) (data, meta []byte) {
-	s.checkLine(line)
-	d, m := s.inner.Read(s.physical(line))
-	return s.rotate(d, m, -s.rotation(line))
+	data, meta = make([]byte, s.rot.lineBytes), make([]byte, s.rot.metaBytes)
+	s.ReadInto(line, data, meta)
+	return data, meta
 }
 
-// Peek implements pcmdev.Array.
+// Peek implements pcmdev.Array. The returned slices are the caller's.
 func (s *SecurityRefresh) Peek(line uint64) (data, meta []byte) {
-	s.checkLine(line)
-	d, m := s.inner.Peek(s.physical(line))
-	return s.rotate(d, m, -s.rotation(line))
+	data, meta = make([]byte, s.rot.lineBytes), make([]byte, s.rot.metaBytes)
+	s.PeekInto(line, data, meta)
+	return data, meta
 }
 
-// PeekInto implements pcmdev.Array. The de-rotation allocates; wear-leveled
-// arrays are not on the zero-allocation fast path.
+// PeekInto implements pcmdev.Array. The de-rotation runs in the array's
+// scratch buffers, so it does not allocate.
 func (s *SecurityRefresh) PeekInto(line uint64, data, meta []byte) {
-	d, m := s.Peek(line)
-	copy(data, d)
-	copy(meta, m)
+	s.checkLine(line)
+	s.inner.PeekInto(s.physical(line), s.rot.data, s.rot.meta)
+	s.rot.unrotateInto(data, meta, s.rotation(line))
 }
 
-// ReadInto implements pcmdev.Array. The de-rotation allocates; wear-leveled
-// arrays are not on the zero-allocation read path.
+// ReadInto implements pcmdev.Array: PeekInto with Read's statistics side
+// effect, and likewise allocation-free.
 func (s *SecurityRefresh) ReadInto(line uint64, data, meta []byte) {
-	d, m := s.Read(line)
-	copy(data, d)
-	copy(meta, m)
+	s.checkLine(line)
+	s.inner.ReadInto(s.physical(line), s.rot.data, s.rot.meta)
+	s.rot.unrotateInto(data, meta, s.rotation(line))
 }
 
 // Load implements pcmdev.Array.
 func (s *SecurityRefresh) Load(line uint64, data, meta []byte) {
 	s.checkLine(line)
-	rdata, rmeta := s.rotate(data, meta, s.rotation(line))
+	rdata, rmeta := s.rot.rotate(data, meta, s.rotation(line))
 	s.inner.Load(s.physical(line), rdata, s.metaOrNil(rmeta))
 }
 
@@ -222,9 +223,14 @@ func (s *SecurityRefresh) step() {
 	a := s.p // canonical line of the pair; partner is a^d
 	b := a ^ d
 
-	// Pre-swap images and rotations.
-	da, ma := s.Peek(a)
-	db, mb := s.Peek(b)
+	// Pre-swap images. Peeking b stages through the shifter's data and
+	// meta buffers, which then hold b's image, so a's goes to the pair
+	// buffers; the stores below rotate into the shifter's separate
+	// output buffer.
+	da, ma := s.pairData, s.pairMeta
+	db, mb := s.rot.data, s.rot.meta
+	s.PeekInto(a, da, ma)
+	s.PeekInto(b, db, mb)
 	s.p++ // the pair is now processed: mappings and rotations advance
 	s.swaps++
 
@@ -240,7 +246,7 @@ func (s *SecurityRefresh) step() {
 // with its current rotation, bypassing cost accounting when configured
 // (same FreeGapMoves semantics as Start-Gap).
 func (s *SecurityRefresh) storeAt(line uint64, data, meta []byte) {
-	rdata, rmeta := s.rotate(data, meta, s.rotation(line))
+	rdata, rmeta := s.rot.rotate(data, meta, s.rotation(line))
 	if s.cfg.FreeGapMoves {
 		s.inner.Load(s.physical(line), rdata, s.metaOrNil(rmeta))
 		return

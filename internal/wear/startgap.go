@@ -13,7 +13,6 @@ package wear
 import (
 	"fmt"
 
-	"deuce/internal/bitutil"
 	"deuce/internal/pcmdev"
 )
 
@@ -86,7 +85,9 @@ type StartGap struct {
 
 	writesSinceMove int
 	gapMoves        uint64
-	totalBits       int // data+meta bits per line, the rotation modulus
+
+	rot   *rotator // HWL shifter and image scratch; rot.n is the rotation modulus
+	flips []int    // SlotFlips of the last Write, kept across its gap move
 }
 
 // NewStartGap builds a StartGap array for the logical geometry in devCfg.
@@ -117,9 +118,9 @@ func NewStartGap(devCfg pcmdev.Config, cfg StartGapConfig) (*StartGap, error) {
 		cfg:   cfg,
 		n:     devCfg.Lines,
 		gap:   devCfg.Lines, // gap starts past the last logical line
-		// Derive the rotation modulus from the device's resolved
-		// geometry so configuration defaults are applied exactly once.
-		totalBits: inner.Config().TotalBitsPerLine(),
+		// Size the shifter from the device's resolved geometry so
+		// configuration defaults are applied exactly once.
+		rot: newRotator(inner.Config()),
 	}, nil
 }
 
@@ -160,61 +161,19 @@ func (s *StartGap) startPrime(line uint64) uint64 {
 func (s *StartGap) rotation(line uint64) int {
 	switch s.cfg.Mode {
 	case HWL:
-		return int(s.startPrime(line) % uint64(s.totalBits))
+		return int(s.startPrime(line) % uint64(s.rot.n))
 	case HWLHashed:
-		return int(mix64(s.startPrime(line), line) % uint64(s.totalBits))
+		return int(mix64(s.startPrime(line), line) % uint64(s.rot.n))
 	default:
 		return 0
 	}
-}
-
-// rotate returns (data, meta) rotated as a single bit string by k bits.
-func (s *StartGap) rotate(data, meta []byte, k int) (rdata, rmeta []byte) {
-	return rotateImage(s.inner.Config(), s.totalBits, data, meta, k)
-}
-
-// rotateImage rotates a line's combined data+metadata bit image by k bits,
-// the HWL shifter operation shared by every wear leveler in this package.
-func rotateImage(cfg pcmdev.Config, totalBits int, data, meta []byte, k int) (rdata, rmeta []byte) {
-	if k == 0 {
-		return bitutil.Clone(data), bitutil.Clone(meta)
-	}
-	// Pack data and the first MetaBits of meta into one bit image.
-	img := make([]byte, (totalBits+7)/8)
-	copy(img, data)
-	for i := 0; i < cfg.MetaBits; i++ {
-		bitutil.SetBit(img, cfg.LineBits()+i, bitutil.GetBit(meta, i))
-	}
-	// The packed image may have padding bits past totalBits; rotate only
-	// the live region by working at exact bit length.
-	rot := rotateBits(img, totalBits, k)
-	// Unpack.
-	rdata = make([]byte, cfg.LineBytes)
-	copy(rdata, rot[:cfg.LineBytes])
-	rmeta = make([]byte, (cfg.MetaBits+7)/8)
-	for i := 0; i < cfg.MetaBits; i++ {
-		bitutil.SetBit(rmeta, i, bitutil.GetBit(rot, cfg.LineBits()+i))
-	}
-	return rdata, rmeta
-}
-
-// rotateBits rotates the first n bits of img left by k, leaving padding zero.
-func rotateBits(img []byte, n, k int) []byte {
-	out := make([]byte, len(img))
-	k = ((k % n) + n) % n
-	for i := 0; i < n; i++ {
-		if bitutil.GetBit(img, i) {
-			bitutil.SetBit(out, (i+k)%n, true)
-		}
-	}
-	return out
 }
 
 // Write implements pcmdev.Array. Every Psi-th write additionally moves the
 // gap, which is the moment a line's rotation amount advances.
 func (s *StartGap) Write(line uint64, data, meta []byte) pcmdev.WriteResult {
 	s.checkLine(line)
-	rdata, rmeta := s.rotate(data, meta, s.rotation(line))
+	rdata, rmeta := s.rot.rotate(data, meta, s.rotation(line))
 	res := s.inner.Write(s.physical(line), rdata, s.metaOrNil(rmeta))
 
 	s.writesSinceMove++
@@ -223,47 +182,48 @@ func (s *StartGap) Write(line uint64, data, meta []byte) pcmdev.WriteResult {
 		if !s.cfg.FreeGapMoves {
 			// The gap-move copy below writes the inner device again,
 			// clobbering the scratch buffer res.SlotFlips aliases.
-			res.SlotFlips = append([]int(nil), res.SlotFlips...)
+			s.flips = append(s.flips[:0], res.SlotFlips...)
+			res.SlotFlips = s.flips
 		}
 		s.moveGap()
 	}
 	return res
 }
 
-// Read implements pcmdev.Array.
+// Read implements pcmdev.Array. The returned slices are the caller's.
 func (s *StartGap) Read(line uint64) (data, meta []byte) {
-	s.checkLine(line)
-	d, m := s.inner.Read(s.physical(line))
-	return s.rotate(d, m, -s.rotation(line))
+	data, meta = make([]byte, s.rot.lineBytes), make([]byte, s.rot.metaBytes)
+	s.ReadInto(line, data, meta)
+	return data, meta
 }
 
-// Peek implements pcmdev.Array.
+// Peek implements pcmdev.Array. The returned slices are the caller's.
 func (s *StartGap) Peek(line uint64) (data, meta []byte) {
-	s.checkLine(line)
-	d, m := s.inner.Peek(s.physical(line))
-	return s.rotate(d, m, -s.rotation(line))
+	data, meta = make([]byte, s.rot.lineBytes), make([]byte, s.rot.metaBytes)
+	s.PeekInto(line, data, meta)
+	return data, meta
 }
 
-// PeekInto implements pcmdev.Array. The de-rotation allocates; wear-leveled
-// arrays are not on the zero-allocation fast path.
+// PeekInto implements pcmdev.Array. The de-rotation runs in the array's
+// scratch buffers, so it does not allocate.
 func (s *StartGap) PeekInto(line uint64, data, meta []byte) {
-	d, m := s.Peek(line)
-	copy(data, d)
-	copy(meta, m)
+	s.checkLine(line)
+	s.inner.PeekInto(s.physical(line), s.rot.data, s.rot.meta)
+	s.rot.unrotateInto(data, meta, s.rotation(line))
 }
 
-// ReadInto implements pcmdev.Array. The de-rotation allocates; wear-leveled
-// arrays are not on the zero-allocation read path.
+// ReadInto implements pcmdev.Array: PeekInto with Read's statistics side
+// effect, and likewise allocation-free.
 func (s *StartGap) ReadInto(line uint64, data, meta []byte) {
-	d, m := s.Read(line)
-	copy(data, d)
-	copy(meta, m)
+	s.checkLine(line)
+	s.inner.ReadInto(s.physical(line), s.rot.data, s.rot.meta)
+	s.rot.unrotateInto(data, meta, s.rotation(line))
 }
 
 // Load implements pcmdev.Array.
 func (s *StartGap) Load(line uint64, data, meta []byte) {
 	s.checkLine(line)
-	rdata, rmeta := s.rotate(data, meta, s.rotation(line))
+	rdata, rmeta := s.rot.rotate(data, meta, s.rotation(line))
 	s.inner.Load(s.physical(line), rdata, s.metaOrNil(rmeta))
 }
 
@@ -277,7 +237,8 @@ func (s *StartGap) moveGap() {
 		// Start register increments. Every line's Start' is already
 		// Start+1 at this point, so no rotation change occurs and the
 		// copy is verbatim.
-		d, m := s.inner.Peek(uint64(s.n))
+		d, m := s.rot.data, s.rot.meta
+		s.inner.PeekInto(uint64(s.n), d, m)
 		s.store(0, d, s.metaOrNil(m))
 		s.gap = s.n
 		s.start = (s.start + 1) % s.n
@@ -289,15 +250,12 @@ func (s *StartGap) moveGap() {
 	// copy applies one extra rotation step.
 	movedLine := uint64(((s.gap-1-s.start)%s.n + s.n) % s.n)
 	oldRot := s.rotation(movedLine) // gap has not passed it yet
-	d, m := s.inner.Peek(uint64(s.gap - 1))
+	d, m := s.rot.data, s.rot.meta
+	s.inner.PeekInto(uint64(s.gap-1), d, m)
 	s.gap--
 	newRot := s.rotation(movedLine) // now it has
-	if delta := newRot - oldRot; delta != 0 {
-		data, meta := s.rotate(d, m, delta)
-		s.store(s.physical(movedLine), data, s.metaOrNil(meta))
-	} else {
-		s.store(s.physical(movedLine), d, s.metaOrNil(m))
-	}
+	d, m = s.rot.rotate(d, m, newRot-oldRot)
+	s.store(s.physical(movedLine), d, s.metaOrNil(m))
 }
 
 // store commits a gap-move copy, with or without cost accounting per

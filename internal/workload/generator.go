@@ -64,9 +64,9 @@ type lineState struct {
 type Generator struct {
 	prof Profile
 	cfg  Config
-	// rng drives every stochastic decision. The clonerand wrapper is
-	// bit-identical to rand.New(rand.NewSource(seed)) but snapshotable,
-	// which is what makes Fork possible.
+	// rng drives every stochastic decision. The clonerand stream is
+	// bit-identical to rand.New(rand.NewSource(seed)), and its Clone is
+	// a copy of the state, which is what makes Fork possible.
 	rng *clonerand.Rand
 
 	lines []lineState // cfg.CPUs * cfg.LinesPerCPU entries

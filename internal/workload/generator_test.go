@@ -247,11 +247,24 @@ func TestValueModelString(t *testing.T) {
 	}
 }
 
+// BenchmarkNextWriteback times the generator's writeback synthesis, the
+// workload layer under every flip and wear cell, for one profile of each
+// value model (random, float, counter) and the dense Gems rewrite.
 func BenchmarkNextWriteback(b *testing.B) {
-	p, _ := ByName("mcf")
-	g := MustNew(p, Config{Seed: 1})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.NextWriteback(0)
+	for _, name := range []string{"mcf", "lbm", "libq", "Gems"} {
+		b.Run(name, func(b *testing.B) {
+			p, err := ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := MustNew(p, Config{Seed: 1})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.NextWriteback(0)
+			}
+			if wb, _ := g.Stats(); wb != uint64(b.N) {
+				b.Fatalf("generated %d writebacks, want %d", wb, b.N)
+			}
+		})
 	}
 }
