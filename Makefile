@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check doclint build vet test race race-timing race-durability bench-smoke bench-writehot bench-timing bench-warm bench-spans bench-serve bench-backend fidelity fidelity-report fidelity-reverdict
+.PHONY: check fmt-check doclint build vet test race race-timing race-durability bench-smoke bench-writehot bench-warm bench-spans bench-serve bench-backend fidelity fidelity-report fidelity-reverdict
 
 # check is the pre-merge gate: static checks, full tests under the race
 # detector, and a short smoke of the steady-state write benchmark so a
@@ -30,10 +30,9 @@ race:
 	$(GO) test -race ./...
 
 # race-timing is the focused race pass for the deterministic-parallelism
-# machinery: the sharded timing engine's differential suites in
-# internal/timing, the parallel grid / warm-fork / planner paths in
-# internal/exp, the fork bit-identity suites in internal/core and
-# internal/workload, the concurrent serving telemetry (the atomic
+# machinery: the timing model in internal/timing, the parallel grid /
+# shared warm-stream / planner paths in internal/exp, the generator fork
+# in internal/workload, the concurrent serving telemetry (the atomic
 # obs registry, the striped lock-free histograms with their merge
 # property test, and the serving harness), and the sharded serving
 # front end's differential replay suite (internal/servefront), all under
@@ -41,8 +40,8 @@ race:
 # every push even when the full race matrix is pruned.
 race-timing:
 	$(GO) test -race ./internal/timing/
-	$(GO) test -race -run 'TestRunPerfSharded|TestResolveTimingShards|TestPerfGrid|TestWarm|TestPlan' ./internal/exp/
-	$(GO) test -race -run 'TestFork' ./internal/core/ ./internal/workload/
+	$(GO) test -race -run 'TestPerfGrid|TestWarm|TestPlan' ./internal/exp/
+	$(GO) test -race -run 'TestFork' ./internal/workload/
 	$(GO) test -race ./internal/obs/ ./internal/obs/serve/ ./internal/servebench/ ./internal/servefront/
 
 # race-durability is the focused race pass for the persistence layer: the
@@ -66,11 +65,6 @@ bench-smoke:
 # bench-writehot regenerates the numbers behind BENCH_writehot.json.
 bench-writehot:
 	$(GO) test -run '^$$' -bench BenchmarkWriteHot -benchmem .
-
-# bench-timing regenerates the numbers behind BENCH_timing.json: one
-# timed perf cell at 1/2/4/8 costing shards.
-bench-timing:
-	$(GO) test -run '^$$' -bench BenchmarkTimedCell -benchmem ./internal/exp/
 
 # bench-warm regenerates BENCH_warm.json: the full fidelity gate's wall
 # clock at CI scale in its three execution modes — cold (warm-state reuse

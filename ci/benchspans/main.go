@@ -74,7 +74,6 @@ func main() {
 		for i := 0; i < *iters; i++ {
 			exp.ResetCache()
 			exp.ResetReuse()
-			exp.ResetTiming()
 			rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Seed: *seed}
 			var tracer *span.Tracer
 			if traced {

@@ -6,9 +6,9 @@
 //     fresh caches — the pre-reuse baseline, where every grid cell builds
 //     and warms its own scheme (grid- and table-level memoization only).
 //   - gate_warm_reuse: reuse enabled with fresh caches — warmup streams
-//     and warmed schemes are built once per (workload, geometry, seed,
-//     params) tuple and forked per cell, cells shared across figures run
-//     once, and the planner fans the unique cells through the pool.
+//     are synthesized once per (workload, geometry, seed) tuple and
+//     replayed per cell, cells shared across figures run once, and the
+//     planner fans the unique cells through the pool.
 //   - gate_incremental_recheck: a second `deucereport check -outdir`-style
 //     run against the recording the warm run just produced — every
 //     experiment's Inputs hash still matches, so zero experiments re-run.
@@ -33,7 +33,7 @@ import (
 	"deuce/internal/fidelity"
 )
 
-// record mirrors the schema of BENCH_writehot.json / BENCH_timing.json so
+// record mirrors the schema of BENCH_writehot.json so
 // `deucereport record -bench` ingests it unchanged.
 type record struct {
 	Benchmark   string   `json:"benchmark"`
@@ -77,9 +77,9 @@ func main() {
 		}
 		elapsed := time.Since(start)
 		r := exp.Reuse()
-		fmt.Printf("%s: %v (%s; %d warm forks, %d cold warmups, cache %d hits / %d misses)\n",
+		fmt.Printf("%s: %v (%s; %d cells replayed a shared warm stream, %d cold warmups, cache %d hits / %d misses)\n",
 			label, elapsed.Round(time.Millisecond), report.Summary(),
-			r.WarmForks, r.ColdWarmups, r.CacheHits, r.CacheMisses)
+			r.WarmReplays, r.ColdWarmups, r.CacheHits, r.CacheMisses)
 		return report, tables, elapsed
 	}
 

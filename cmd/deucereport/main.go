@@ -105,12 +105,11 @@ run 'deucereport <subcommand> -h' for flags.
 // report. Defaults of 0 mean the exp package defaults (30000/2048); CI
 // passes -writebacks 6000 -lines 512 for the reduced-scale gate the
 // tolerances are calibrated for.
-func sizeFlags(fs *flag.FlagSet) (writebacks, lines, warmup *int, seed *int64, shards *int) {
+func sizeFlags(fs *flag.FlagSet) (writebacks, lines, warmup *int, seed *int64) {
 	writebacks = fs.Int("writebacks", 0, "measured writebacks per workload (0 = default 30000)")
 	lines = fs.Int("lines", 0, "working-set lines per core (0 = default 2048)")
 	warmup = fs.Int("warmup", 0, "warm-up writebacks (0 = default 2x working set)")
 	seed = fs.Int64("seed", 1, "workload generator seed")
-	shards = fs.Int("timingshards", 0, "costing shards per timed run (0 = auto, 1 = sequential; results are bit-identical)")
 	return
 }
 
@@ -145,7 +144,7 @@ func selectExpectations(spec string) ([]fidelity.Expectation, error) {
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	experiment := fs.String("experiment", "all", "experiment IDs to gate: 'all' or a comma-separated list (fig5,fig10,...)")
-	writebacks, lines, warmup, seed, shards := sizeFlags(fs)
+	writebacks, lines, warmup, seed := sizeFlags(fs)
 	out := fs.String("out", "", "also write the fidelity matrix as markdown to this file")
 	from := fs.String("from", "", "re-verdict recorded table JSON from this directory (zero experiment runs)")
 	outdir := fs.String("outdir", "", "write each experiment's table JSON here, so the gate run doubles as a recording")
@@ -159,7 +158,7 @@ func cmdCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Warmup: *warmup, Seed: *seed, TimingShards: *shards}
+	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Warmup: *warmup, Seed: *seed}
 	var tracer *span.Tracer
 	if *spans != "" {
 		tracer = span.New()
@@ -314,17 +313,17 @@ func cmdCheck(args []string) error {
 // for the run so far, one line for check/report output.
 func reuseLine() string {
 	r := exp.Reuse()
-	return fmt.Sprintf("reuse: %d warm forks, %d cold warmups; cache %d hits / %d misses",
-		r.WarmForks, r.ColdWarmups, r.CacheHits, r.CacheMisses)
+	return fmt.Sprintf("reuse: %d cells replayed a shared warm stream, %d cold warmups; cache %d hits / %d misses",
+		r.WarmReplays, r.ColdWarmups, r.CacheHits, r.CacheMisses)
 }
 
 // cmdPlan renders the experiment planner's dry run: the deduplicated
-// warm-stream -> warm-scheme -> cell -> table DAG a gate over the selected
+// warm-stream -> cell -> table DAG a gate over the selected
 // experiments would execute at the given scale, without running anything.
 func cmdPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
 	experiment := fs.String("experiment", "all", "experiment IDs to plan: 'all' or a comma-separated list (fig5,fig10,...)")
-	writebacks, lines, warmup, seed, shards := sizeFlags(fs)
+	writebacks, lines, warmup, seed := sizeFlags(fs)
 	out := fs.String("out", "", "also write the dry-run (or profile) to this file")
 	profile := fs.Bool("profile", false, "execute the plan's cells under span tracing and render per-node durations plus the DAG critical path (runs real work, unlike the default dry run)")
 	fs.Parse(args)
@@ -333,7 +332,7 @@ func cmdPlan(args []string) error {
 	if err != nil {
 		return err
 	}
-	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Warmup: *warmup, Seed: *seed, TimingShards: *shards}
+	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Warmup: *warmup, Seed: *seed}
 	var tracer *span.Tracer
 	if *profile {
 		tracer = span.New()
@@ -655,14 +654,14 @@ func cmdReport(args []string) error {
 	ledger := fs.String("ledger", "", "JSONL ledger to render trends from (optional)")
 	out := fs.String("out", "report.md", "markdown output path")
 	experiment := fs.String("experiment", "all", "experiment IDs for the fidelity matrix ('none' to skip running experiments)")
-	writebacks, lines, warmup, seed, shards := sizeFlags(fs)
+	writebacks, lines, warmup, seed := sizeFlags(fs)
 	width := fs.Int("width", 32, "sparkline width in the trend table")
 	filter := fs.String("filter", "", "only trend metrics containing this substring")
 	fs.Parse(args)
 
 	var b strings.Builder
 	b.WriteString("# DEUCE reproduction report\n\n")
-	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Warmup: *warmup, Seed: *seed, TimingShards: *shards}
+	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Warmup: *warmup, Seed: *seed}
 
 	pass := true
 	if *experiment != "none" {
@@ -811,11 +810,11 @@ func criticalPathMarkdown(tree *span.Tree, prof span.Profile, gate time.Duration
 		b.WriteString("\nCoverage is below 95%: wall clock outside the traced check (table IO, ledger writes, process startup) makes up the gap.\n")
 	}
 	b.WriteString("\n## Critical path\n\n")
-	b.WriteString("| Span | Identity | Start | Duration | Self |\n|---|---|---|---|---|\n")
-	for _, n := range tree.CriticalPath() {
-		fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n", n.Name, attrCell(n.Attrs),
-			span.FormatNs(n.StartNs), span.FormatNs(n.DurNs), span.FormatNs(n.SelfNs()))
-	}
+	b.WriteString("Each span is listed under the span it ran inside, in execution order: start, duration, self time, identity.\n\n")
+	writeCriticalPath(&b, tree, func(n *span.Node) string {
+		return fmt.Sprintf("%s — start %s, %s (self %s); %s", n.Name, span.FormatNs(n.StartNs),
+			span.FormatNs(n.DurNs), span.FormatNs(n.SelfNs()), attrText(n.Attrs))
+	})
 	b.WriteString("\n## Where the time went\n\n")
 	b.WriteString("| Span | Count | Total | Self | Max |\n|---|---|---|---|---|\n")
 	const topK = 12
@@ -831,9 +830,28 @@ func criticalPathMarkdown(tree *span.Tree, prof span.Profile, gate time.Duration
 	return b.String()
 }
 
-// attrCell renders a span's identity attributes for one markdown cell,
-// truncating long cache keys and escaping their '|' separators.
-func attrCell(attrs []span.Attr) string {
+// writeCriticalPath writes the tree's critical path as a nested markdown
+// list: each span indented one level under its parent on the path, so
+// the descent into the work reads top to bottom.
+func writeCriticalPath(b *strings.Builder, tree *span.Tree, item func(*span.Node) string) {
+	parent := map[*span.Node]*span.Node{}
+	tree.Walk(func(n *span.Node) {
+		for _, c := range n.Children {
+			parent[c] = n
+		}
+	})
+	depth := map[*span.Node]int{}
+	for _, n := range tree.CriticalPath() {
+		if p, ok := parent[n]; ok {
+			depth[n] = depth[p] + 1
+		}
+		fmt.Fprintf(b, "%s- %s\n", strings.Repeat("  ", depth[n]), item(n))
+	}
+}
+
+// attrText renders a span's identity attributes on one line, truncating
+// long cache keys.
+func attrText(attrs []span.Attr) string {
 	if len(attrs) == 0 {
 		return "—"
 	}
@@ -843,14 +861,14 @@ func attrCell(attrs []span.Attr) string {
 		if len(v) > 40 {
 			v = v[:37] + "..."
 		}
-		parts = append(parts, a.Key+"="+strings.ReplaceAll(v, "|", "\\|"))
+		parts = append(parts, a.Key+"="+v)
 	}
 	return strings.Join(parts, ", ")
 }
 
 // timeAttributionMarkdown is the report's condensed span summary: where
-// the checked experiments' wall clock went by span name, the critical
-// chain, and the parallel timing engine's aggregate activity.
+// the checked experiments' wall clock went by span name and the critical
+// chain.
 func timeAttributionMarkdown(tree *span.Tree, elapsed time.Duration) string {
 	if tree.Spans == 0 {
 		return ""
@@ -868,17 +886,10 @@ func timeAttributionMarkdown(tree *span.Tree, elapsed time.Duration) string {
 		fmt.Fprintf(&b, "| %s | %d | %s | %s |\n", e.Name, e.Count,
 			span.FormatNs(e.TotalNs), span.FormatNs(e.SelfNs))
 	}
-	var names []string
-	for _, n := range tree.CriticalPath() {
-		names = append(names, fmt.Sprintf("%s %s", n.Name, span.FormatNs(n.DurNs)))
-	}
-	if len(names) > 0 {
-		fmt.Fprintf(&b, "\nCritical path: %s.\n", strings.Join(names, " → "))
-	}
-	if ts := exp.Timing(); ts.ShardedRuns > 0 {
-		fmt.Fprintf(&b, "\nTiming engine: %d sharded runs over %d epochs, %s of costing moved off the event loops, %s of barrier stall.\n",
-			ts.ShardedRuns, ts.Epochs, span.FormatNs(ts.CostingNs), span.FormatNs(ts.BarrierStallNs))
-	}
+	b.WriteString("\nCritical path:\n\n")
+	writeCriticalPath(&b, tree, func(n *span.Node) string {
+		return n.Name + " " + span.FormatNs(n.DurNs)
+	})
 	b.WriteString("\n")
 	return b.String()
 }

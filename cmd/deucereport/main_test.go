@@ -142,8 +142,7 @@ func TestCompareWalltimeThresholdTolerance(t *testing.T) {
 // TestWriteSpanArtifacts drives the check -spans artifact writer over a
 // hand-built tree and pins the acceptance contract: a loadable Chrome
 // trace, a self-profile the ledger can ingest as walltime metrics, and a
-// critical-path table whose coverage line accounts for the gate wall
-// clock.
+// critical-path.md whose coverage line accounts for the gate wall clock.
 func TestWriteSpanArtifacts(t *testing.T) {
 	tr := span.New()
 	epoch := time.Now()
@@ -193,7 +192,7 @@ func TestWriteSpanArtifacts(t *testing.T) {
 	// The tree covers the full 100ms gate, so the coverage line must report
 	// 100% (the within-5% acceptance bound) and the chain must descend into
 	// the evaluate span, which ends last.
-	for _, want := range []string{"(100.0% of the gate)", "## Critical path", "| evaluate |", "fidelity.check"} {
+	for _, want := range []string{"(100.0% of the gate)", "## Critical path", "\n  - evaluate — start ", "- fidelity.check"} {
 		if !strings.Contains(string(md), want) {
 			t.Errorf("critical-path.md missing %q:\n%s", want, md)
 		}
@@ -294,5 +293,49 @@ func TestRecordServeRoundTrip(t *testing.T) {
 	if err := cmdCompare([]string{"-ledger", ledger, "-baseline", "1", "-gate",
 		"-walltime-threshold", "30", "head"}); err != nil {
 		t.Errorf("identical serve run failed its own gate: %v", err)
+	}
+}
+
+// TestCriticalPathIndented pins the critical path's layout on a synthetic
+// tree: every span on the path sits one level under its parent, so the
+// descent from the gate into a cell and its warmup reads as nesting, not
+// as one flat chain.
+func TestCriticalPathIndented(t *testing.T) {
+	tr := span.New()
+	epoch := time.Now()
+	at := func(ms int) time.Time { return epoch.Add(time.Duration(ms) * time.Millisecond) }
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	root := tr.StartAt(nil, "fidelity.check", epoch)
+	tr.Record(root, "plan.build", at(0), ms(5))
+	exec := tr.StartAt(root, "plan.execute", at(5))
+	a := tr.StartAt(exec, "cell/wear", at(5), span.Str("workload", "mcf"))
+	tr.Record(a, "warmup", at(5), ms(15))
+	a.EndAt(ms(45))
+	tr.Record(exec, "cell/wear", at(50), ms(40), span.Str("workload", "libq"))
+	exec.EndAt(ms(85))
+	tr.Record(root, "evaluate", at(90), ms(10))
+	root.EndAt(ms(100))
+	tree := tr.Snapshot()
+
+	var b strings.Builder
+	writeCriticalPath(&b, tree, func(n *span.Node) string { return n.Name })
+	want := "- fidelity.check\n" +
+		"  - plan.build\n" +
+		"  - plan.execute\n" +
+		"    - cell/wear\n" +
+		"      - warmup\n" +
+		"    - cell/wear\n" +
+		"  - evaluate\n"
+	if got := b.String(); got != want {
+		t.Errorf("critical path layout:\n%s\nwant:\n%s", got, want)
+	}
+
+	md := criticalPathMarkdown(tree, tree.Profile(), 100*time.Millisecond)
+	if !strings.Contains(md, "\n      - warmup — start ") {
+		t.Errorf("critical-path.md does not nest the warmup under its cell:\n%s", md)
+	}
+	report := timeAttributionMarkdown(tree, 100*time.Millisecond)
+	if !strings.Contains(report, "\n    - cell/wear ") || strings.Contains(report, "→") {
+		t.Errorf("report's time attribution does not nest its critical path:\n%s", report)
 	}
 }

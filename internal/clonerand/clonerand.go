@@ -3,7 +3,7 @@
 // The workload generators (internal/workload) draw every stochastic decision
 // from one stream seeded by the run's seed; the warm-state reuse layer
 // (internal/exp) needs to snapshot a generator after warmup and continue the
-// identical stream independently in several forked copies. math/rand's
+// identical stream independently in every cell that replays it. math/rand's
 // rngSource keeps its ~5 KB of state unexported with no copy API, so this
 // package carries a concrete port of it instead: the same additive
 // lagged-Fibonacci register (607 words plus the tap and feed indices),

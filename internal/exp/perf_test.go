@@ -172,3 +172,32 @@ func TestLimitSourceChargesOnlySuccess(t *testing.T) {
 		t.Fatalf("inner served %d events, want exactly the 5-event budget", inner.served)
 	}
 }
+
+// BenchmarkTimedCell measures one timed perf-grid cell (RunPerf, the unit
+// the fidelity gate's 48-cell grid repeats) at the CI gate scale (6000
+// writebacks, 512 lines).
+//
+// Every iteration runs the cell for real, warmup included: warm-state
+// reuse is off for the benchmark, so neither the cell cache nor a cached
+// warm stream can serve it, and the benchmark fails unless RunPerf
+// executed exactly b.N times.
+func BenchmarkTimedCell(b *testing.B) {
+	prof, err := workload.ByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev := warmReuseEnabled()
+	SetWarmReuse(false)
+	defer SetWarmReuse(prev)
+	rc := RunConfig{Writebacks: 6000, Lines: 512, Seed: 1}
+	b.ReportAllocs()
+	before := RunPerfCalls()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunPerf(prof, core.KindDeuce, core.Params{}, rc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if ran := RunPerfCalls() - before; ran != int64(b.N) {
+		b.Fatalf("RunPerf executed %d times for b.N=%d: the benchmark timed a cache hit", ran, b.N)
+	}
+}

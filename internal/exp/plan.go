@@ -13,10 +13,10 @@ import (
 )
 
 // The experiment planner (DESIGN.md §10). A gate run over several
-// experiments is a DAG: warm streams feed warmed schemes, warmed schemes
-// feed cells, cells feed tables — and distinct experiments share nodes at
-// every level (Fig16/Fig17 share a whole grid; Fig5/Fig10/Fig15 share
-// individual cells; every same-workload cell shares a warm stream).
+// experiments is a DAG: warm streams feed cells, cells feed tables — and
+// distinct experiments share nodes at every level (Fig16/Fig17 share a
+// whole grid; Fig5/Fig10/Fig15 share individual cells; every
+// same-workload cell shares a warm stream).
 // BuildPlan enumerates that DAG without running anything, deduplicating
 // nodes by the exact key strings the runtime caches use, so the plan's
 // sharing is the runtime's sharing by construction. ExecuteCells then runs
@@ -26,7 +26,7 @@ import (
 
 // PlanNode is one unit of work in a plan DAG.
 type PlanNode struct {
-	// Kind is "warm-stream", "warm-scheme", "cell" or "table".
+	// Kind is "warm-stream", "cell" or "table".
 	Kind string
 	// Key is the node's cache key — shared with the runtime caches.
 	Key string
@@ -170,26 +170,16 @@ func (p *Plan) addCell(c cellSpec) (int, bool) {
 		return i, true
 	}
 	var deps []int
-	// Flip and perf cells fork warm state; wear cells warm up cold
-	// behind their wrapped array, so they have no warm prerequisites.
+	// Flip and perf cells replay a shared warm stream; wear cells warm up
+	// cold behind their wrapped array, so they have no warm prerequisite.
 	if c.mode != "wear" {
 		topo := flipTopology(c.rc)
 		if c.mode == "perf" {
 			topo = perfTopology(c.rc)
 		}
-		sk := warmStreamKey(c.prof, c.rc, topo)
-		si := p.addNode(PlanNode{Kind: "warm-stream", Key: sk,
-			Label: fmt.Sprintf("warm %s x%d", c.prof.Name, c.rc.Warmup)})
-		// The runtime hashes warm-scheme params with Lines already set from
-		// the parked generator — topo.cpus * topo.lpc by construction — so
-		// the plan must too, or its warm-scheme keys would never match the
-		// cache entries (and measured span durations) they stand for.
-		wp := c.params
-		wp.Lines = topo.cpus * topo.lpc
-		pk, _ := paramsKey(wp)
-		wi := p.addNode(PlanNode{Kind: "warm-scheme", Key: warmSchemeKey(sk, c.kind, pk),
-			Label: fmt.Sprintf("warm %s/%s", c.prof.Name, c.kind), Deps: []int{si}})
-		deps = append(deps, wi)
+		si := p.addNode(PlanNode{Kind: "warm-stream", Key: warmStreamKey(c.prof, c.rc, topo),
+			Label: fmt.Sprintf("warm %s x%d on %d cpus", c.prof.Name, c.rc.Warmup, topo.cpus)})
+		deps = append(deps, si)
 	}
 	i := p.addNode(PlanNode{Kind: "cell", Key: key, Label: c.label(), Deps: deps})
 	p.cells = append(p.cells, c)
@@ -264,7 +254,6 @@ func cellSpecsFor(id string, rc RunConfig) []cellSpec {
 // PlanStats summarizes a plan for metrics and reporting.
 type PlanStats struct {
 	WarmStreams int
-	WarmSchemes int
 	Cells       int
 	Tables      int
 	// CellRefs is the pre-dedup cell count; CellRefs - Cells executions
@@ -279,8 +268,6 @@ func (p *Plan) Stats() PlanStats {
 		switch n.Kind {
 		case "warm-stream":
 			st.WarmStreams++
-		case "warm-scheme":
-			st.WarmSchemes++
 		case "cell":
 			st.Cells++
 		case "table":
@@ -294,7 +281,6 @@ func (p *Plan) Stats() PlanStats {
 func (p *Plan) Record(reg *obs.Registry) {
 	st := p.Stats()
 	reg.Gauge("plan_warm_streams").Set(float64(st.WarmStreams))
-	reg.Gauge("plan_warm_schemes").Set(float64(st.WarmSchemes))
 	reg.Gauge("plan_cells").Set(float64(st.Cells))
 	reg.Gauge("plan_tables").Set(float64(st.Tables))
 	reg.Gauge("plan_cell_refs").Set(float64(st.CellRefs))
@@ -302,8 +288,8 @@ func (p *Plan) Record(reg *obs.Registry) {
 
 // ExecuteCells runs every unique cell through the work-stealing pool,
 // populating the shared result caches so the subsequent table runs are
-// pure assembly. Warm streams and schemes materialize on demand inside the
-// cells (single-flight), in dependency order by construction.
+// pure assembly. Warm streams materialize on demand inside the cells
+// (single-flight), in dependency order by construction.
 func (p *Plan) ExecuteCells(progress *obs.Progress) error {
 	cells := p.cells
 	exec := p.Config.Spans.Start(p.Config.SpanParent, "plan.execute", span.Int("cells", int64(len(cells))))
@@ -346,8 +332,8 @@ func WarmReuseActive() bool { return warmReuseEnabled() }
 func (p *Plan) Render(w io.Writer) {
 	st := p.Stats()
 	fmt.Fprintf(w, "plan: %d experiments at %s\n", len(p.Experiments), p.Config.key())
-	fmt.Fprintf(w, "  %d warm streams -> %d warmed schemes -> %d cells -> %d tables\n",
-		st.WarmStreams, st.WarmSchemes, st.Cells, st.Tables)
+	fmt.Fprintf(w, "  %d warm streams -> %d cells -> %d tables\n",
+		st.WarmStreams, st.Cells, st.Tables)
 	if st.CellRefs > st.Cells {
 		fmt.Fprintf(w, "  sharing: %d cell refs deduplicated to %d unique (%d runs saved)\n",
 			st.CellRefs, st.Cells, st.CellRefs-st.Cells)
@@ -356,7 +342,7 @@ func (p *Plan) Render(w io.Writer) {
 	for _, n := range p.Nodes {
 		byKind[n.Kind] = append(byKind[n.Kind], n.Label)
 	}
-	for _, kind := range []string{"warm-stream", "warm-scheme", "cell", "table"} {
+	for _, kind := range []string{"warm-stream", "cell", "table"} {
 		labels := byKind[kind]
 		if len(labels) == 0 {
 			continue

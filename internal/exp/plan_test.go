@@ -76,8 +76,8 @@ func TestPlanDeduplicates(t *testing.T) {
 	}
 }
 
-// TestPlanFig14Shape: wear cells cannot fork, so fig14 contributes no
-// warm nodes, and its 12x(1+3) cells are all unique.
+// TestPlanFig14Shape: wear cells cannot replay a warm stream, so fig14
+// contributes no warm nodes, and its 12x(1+3) cells are all unique.
 func TestPlanFig14Shape(t *testing.T) {
 	plan, err := BuildPlan([]string{"fig14"}, RunConfig{Writebacks: 100, Lines: 512, Seed: 0})
 	if err != nil {
@@ -87,9 +87,8 @@ func TestPlanFig14Shape(t *testing.T) {
 	if st.Cells != 48 {
 		t.Errorf("fig14 expected 48 wear cells, got %d", st.Cells)
 	}
-	if st.WarmStreams != 0 || st.WarmSchemes != 0 {
-		t.Errorf("wear cells must not claim warm nodes, got %d streams / %d schemes",
-			st.WarmStreams, st.WarmSchemes)
+	if st.WarmStreams != 0 {
+		t.Errorf("wear cells must not claim warm nodes, got %d streams", st.WarmStreams)
 	}
 }
 
@@ -103,7 +102,7 @@ func TestPlanRender(t *testing.T) {
 	var b strings.Builder
 	plan.Render(&b)
 	out := b.String()
-	for _, want := range []string{"warm-stream", "warm-scheme", "phase cell", "phase table", "deduplicated"} {
+	for _, want := range []string{"warm-stream", "phase cell", "phase table", "deduplicated"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dry-run output missing %q:\n%s", want, out)
 		}

@@ -12,7 +12,8 @@ import (
 var warmReuseOff atomic.Bool
 
 // SetWarmReuse toggles warm-state reuse: the per-cell result caches and
-// the warm-fork fast path that skips per-cell warmup replay. Disabling it
+// the warm-stream fast path that replays a shared warmup instead of
+// synthesizing one per cell. Disabling it
 // restores the cold behavior (every cell builds and warms its own scheme),
 // which the cold leg of `make bench-warm` uses as the comparison baseline.
 // Already-cached entries are not dropped; pair with ResetCache for a truly
@@ -22,19 +23,19 @@ func SetWarmReuse(enabled bool) { warmReuseOff.Store(!enabled) }
 // warmReuseEnabled reports whether the warm-state fast paths are active.
 func warmReuseEnabled() bool { return !warmReuseOff.Load() }
 
-// warmForks counts grid cells served by forking a cached warmed state
-// instead of replaying their warmup; coldWarmups counts warmup loops
-// actually executed (cold cells plus one per cached warm state built).
-var warmForks, coldWarmups atomic.Int64
+// warmReplays counts grid cells that replayed a shared warm stream
+// instead of synthesizing their own warmup; coldWarmups counts warmup
+// syntheses actually executed (cold cells plus one per cached stream).
+var warmReplays, coldWarmups atomic.Int64
 
 // ReuseStats is a point-in-time snapshot of warm-state reuse and
 // experiment-cache effectiveness, for reporting (deucereport) and metrics.
 type ReuseStats struct {
-	// WarmForks is the number of cells that skipped warmup by forking a
-	// cached warmed scheme + generator.
-	WarmForks int64
-	// ColdWarmups is the number of warmup loops executed for real: cells
-	// that could not fork plus one per warmed state built and cached.
+	// WarmReplays is the number of cells that replayed a shared warm
+	// stream into a fresh scheme instead of synthesizing their warmup.
+	WarmReplays int64
+	// ColdWarmups is the number of warmup syntheses executed for real:
+	// cells that could not replay plus one per warm stream cached.
 	ColdWarmups int64
 	// CacheHits / CacheMisses are the process-wide experiment cache's
 	// counters (grids, tables, cells and warm states all share it).
@@ -47,17 +48,17 @@ type ReuseStats struct {
 func Reuse() ReuseStats {
 	hits, misses := sharedCache.Stats()
 	return ReuseStats{
-		WarmForks:   warmForks.Load(),
+		WarmReplays: warmReplays.Load(),
 		ColdWarmups: coldWarmups.Load(),
 		CacheHits:   hits,
 		CacheMisses: misses,
 	}
 }
 
-// ResetReuse zeroes the warm-fork/cold-warmup counters. The experiment
+// ResetReuse zeroes the warm-replay/cold-warmup counters. The experiment
 // cache's own counters reset with ResetCache.
 func ResetReuse() {
-	warmForks.Store(0)
+	warmReplays.Store(0)
 	coldWarmups.Store(0)
 }
 
@@ -65,7 +66,7 @@ func ResetReuse() {
 // registry, alongside whatever run metrics the caller collected.
 func RecordReuseMetrics(reg *obs.Registry) {
 	r := Reuse()
-	reg.Gauge("reuse_warm_forks").Set(float64(r.WarmForks))
+	reg.Gauge("reuse_warm_replays").Set(float64(r.WarmReplays))
 	reg.Gauge("reuse_cold_warmups").Set(float64(r.ColdWarmups))
 	reg.Gauge("reuse_cache_hits").Set(float64(r.CacheHits))
 	reg.Gauge("reuse_cache_misses").Set(float64(r.CacheMisses))

@@ -41,27 +41,15 @@ type RunConfig struct {
 	// an extra memory read (see internal/ctrcache). 0 models an ideal
 	// (always-hit) counter store, the default the paper assumes.
 	CounterCacheBlocks int
-	// TimingShards selects the timing engine for performance runs:
-	// 1 runs the sequential reference Simulator, N > 1 the sharded
-	// engine (timing.Sharded) with N costing shards, and 0 auto-sizes
-	// from GOMAXPROCS against the cell pool's active workers so
-	// cell-level and bank-level parallelism compose instead of
-	// oversubscribing. Results are bit-identical for every value — the
-	// sharded engine's determinism contract (DESIGN.md §9) — which is
-	// why the grid cache key deliberately excludes this field. Runs
-	// that cannot satisfy the contract (a non-line-separable scheme,
-	// or a single-writer rc.Trace hook) fall back to the sequential
-	// engine regardless of this setting.
-	TimingShards int
 
 	// Backend selects durable page storage for each cell's scheme:
 	// "" (in-memory, the default), "file" or "dir" (internal/backend,
 	// threaded via core.Params.MakeBackend). Results are bit-identical
 	// across backends — the restart differential suite pins this — so the
 	// setting exists to exercise the durable path at experiment scale, and
-	// a non-empty Backend therefore bypasses every cache (warm forks,
-	// cell and table memoization, recorded-table reuse): a cached or
-	// forked result would never touch the disk the caller asked for.
+	// a non-empty Backend therefore bypasses every cache (warm-stream
+	// replay, cell and table memoization, recorded-table reuse): a cached
+	// or replayed result would never touch the disk the caller asked for.
 	// Wear-leveled cells (MakeArray) keep their in-memory arrays — remap
 	// registers are volatile controller state a backend cannot carry.
 	Backend string
@@ -179,7 +167,8 @@ func RunFlips(prof workload.Profile, kind core.Kind, params core.Params, rc RunC
 }
 
 // runFlipsMeasured executes a flip run for real: a warmed scheme and
-// generator (forked or cold), then the measured window.
+// generator (replayed from a shared warm stream or cold), then the
+// measured window.
 func runFlipsMeasured(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig, keepPositions bool) (FlipResult, error) {
 	flipRuns.Add(1)
 	sp := rc.startSpan("cell/flip", cellAttrs(prof, kind, params, rc, flipCellKey)...)
@@ -361,10 +350,10 @@ type WearResult struct {
 // RunWear replays a workload against a scheme whose array is wrapped in a
 // Start-Gap leveler with the given mode, and analyzes the wear profile.
 //
-// The wrapped array makes the underlying flip run uncacheable and
-// unforkable (the leveler's state is outside core.Fork's reach), so wear
-// cells always warm up cold; the result itself is still memoized here,
-// keyed by the pre-wrap params plus the leveler configuration.
+// The wrapped array (MakeArray has no canonical key) makes the underlying
+// flip run uncacheable, so wear cells always warm up cold; the result
+// itself is still memoized here, keyed by the pre-wrap params plus the
+// leveler configuration.
 func RunWear(prof workload.Profile, kind core.Kind, params core.Params, mode wear.Mode, psi int, rc RunConfig) (WearResult, error) {
 	rc.setDefaults()
 	if !cellCacheable(params, rc) {

@@ -6,7 +6,8 @@
 //
 // Concurrency: Experiment.Run is safe to call from multiple goroutines —
 // the process-wide result caches are single-flight (GridCache), cached
-// warm state is frozen and only ever forked, and the grid runners fan
+// warm streams are frozen (cells only read their ops and fork their
+// generator), and the grid runners fan
 // cells out over an internal worker pool whose cells each own their
 // scheme instance outright. The per-run observability hooks in RunConfig
 // (Trace, Heatmap, Metrics) are the exception: they are single-writer,
@@ -211,11 +212,18 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the typed-cell encoding back into a Table (raw
-// cell text only — the typed values are derivable via MarshalJSON).
+// cell text only — the typed values are derivable via MarshalJSON). A row
+// with more cells than the table has columns is rejected: Render sizes
+// its columns from the header and has no width for the extra cells.
 func (t *Table) UnmarshalJSON(data []byte) error {
 	var in tableJSON
 	if err := json.Unmarshal(data, &in); err != nil {
 		return err
+	}
+	for i, row := range in.Rows {
+		if len(row) > len(in.Columns) {
+			return fmt.Errorf("row %d has %d cells, wider than the %d columns", i, len(row), len(in.Columns))
+		}
 	}
 	t.ID, t.Title, t.Note, t.Columns, t.Values = in.ID, in.Title, in.Note, in.Columns, in.Values
 	t.Inputs = in.Inputs

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -72,4 +73,36 @@ func TestLoadTablesFailures(t *testing.T) {
 	if _, err := LoadTables(dir2); err == nil {
 		t.Error("ID-less table accepted")
 	}
+
+	// A row wider than the header would index past Render's column
+	// widths; the loader must reject it and name the file.
+	wide := filepath.Join(t.TempDir(), "wide.json")
+	if err := os.WriteFile(wide,
+		[]byte(`{"id":"fig5","title":"t","columns":["K"],"rows":[[{"raw":"a"},{"raw":"b"}]]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadTable(wide); err == nil || !strings.Contains(err.Error(), wide) {
+		t.Errorf("row wider than columns not rejected with the file named: %v", err)
+	}
+}
+
+// FuzzTableJSON feeds arbitrary bytes to the table decoder. Any input must
+// either fail to decode or yield a table that Render and CSV format
+// without panicking.
+func FuzzTableJSON(f *testing.F) {
+	seed, err := os.ReadFile(filepath.Join("testdata", "table_golden.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"title":"t","columns":["K"],"rows":[[{"raw":"a"},{"raw":"b"}]]}`))
+	f.Add([]byte(`{"title":"t","columns":[],"rows":[[]]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tab Table
+		if err := json.Unmarshal(data, &tab); err != nil {
+			return
+		}
+		_ = tab.Render()
+		_ = tab.CSV()
+	})
 }

@@ -13,20 +13,17 @@ import (
 // Warm-state reuse (DESIGN.md §10). Every grid cell historically built a
 // fresh generator and scheme and replayed rc.Warmup writebacks before its
 // measured window — identical work wherever cells share a (workload,
-// geometry, seed, params) tuple. This file caches that work at two levels:
+// geometry, seed) tuple. This file caches the shareable half of that
+// work: one warmup synthesis per (profile, topology, seed, warmup), the
+// recorded install/write stream plus the generator parked at the
+// warmup/measured boundary.
 //
-//  1. warmEntry: one warmup synthesis per (profile, topology, seed,
-//     warmup) — the recorded install/write stream plus the generator
-//     parked at the warmup/measured boundary.
-//  2. a fully warmed scheme per (warmEntry, kind, params) — built by
-//     replaying the recorded stream once.
-//
-// A cell then takes core.Fork of the warmed scheme and Generator.Fork of
-// the parked generator, both bit-identical to having run the warmup cold
-// (pinned by the warm differential suite). Cached warm objects are never
-// advanced after construction — consumers only fork them — which is what
-// makes concurrent cells safe without locks beyond the cache's own
-// single-flight.
+// A cell then builds a fresh scheme, replays the recorded stream into it
+// and takes Generator.Fork of the parked generator — bit-identical to
+// having run the warmup cold (pinned by the warm differential suite). A
+// cached stream is never advanced after construction — consumers only
+// read its ops and fork its generator — which is what makes concurrent
+// cells safe without locks beyond the cache's own single-flight.
 
 // warmOp is one recorded warmup operation: an initial page placement
 // (install) or a warmup writeback, in synthesis order.
@@ -66,14 +63,9 @@ func warmStreamKey(prof workload.Profile, rc RunConfig, topo warmTopology) strin
 		prof, topo.cpus, topo.lpc, rc.Seed, rc.Warmup)
 }
 
-// warmSchemeKey identifies one fully-warmed scheme over a warm stream.
-func warmSchemeKey(streamKey string, kind core.Kind, pk string) string {
-	return fmt.Sprintf("warmScheme|%s|kind=%s|%s", streamKey, kind, pk)
-}
-
 // warmStreamFor returns the cached warmup synthesis for the tuple,
 // building it on first use. rc must be defaulted.
-func warmStreamFor(prof workload.Profile, rc RunConfig, topo warmTopology) (string, *warmEntry, error) {
+func warmStreamFor(prof workload.Profile, rc RunConfig, topo warmTopology) (*warmEntry, error) {
 	key := warmStreamKey(prof, rc, topo)
 	v, err := sharedCache.Do(key, func() (interface{}, error) {
 		// Rooted at the tracer, not the triggering cell: under the cell
@@ -81,6 +73,7 @@ func warmStreamFor(prof workload.Profile, rc RunConfig, topo warmTopology) (stri
 		// otherwise become the parent, making the tree schedule-dependent.
 		sp := rc.Spans.Start(nil, "warm-stream", span.Str("key", key))
 		defer sp.End()
+		coldWarmups.Add(1)
 		e := &warmEntry{}
 		gen, err := workload.New(prof, workload.Config{
 			Seed:        rc.Seed,
@@ -104,50 +97,17 @@ func warmStreamFor(prof workload.Profile, rc RunConfig, topo warmTopology) (stri
 		return e, nil
 	})
 	if err != nil {
-		return "", nil, err
-	}
-	return key, v.(*warmEntry), nil
-}
-
-// warmSchemeFor returns the cached fully-warmed scheme for (stream, kind,
-// params), building it by replaying the recorded warmup once. params.Lines
-// must already be set to the stream generator's line count. The returned
-// scheme is shared and frozen; callers must core.Fork it, never write it.
-func warmSchemeFor(tr *span.Tracer, streamKey string, e *warmEntry, kind core.Kind, params core.Params) (core.Scheme, error) {
-	pk, ok := paramsKey(params)
-	if !ok {
-		return nil, fmt.Errorf("exp: uncacheable params reached the warm-scheme cache")
-	}
-	key := warmSchemeKey(streamKey, kind, pk)
-	v, err := sharedCache.Do(key, func() (interface{}, error) {
-		// Rooted for the same schedule-independence reason as warm-stream.
-		sp := tr.Start(nil, "warm-scheme", span.Str("key", key))
-		defer sp.End()
-		coldWarmups.Add(1)
-		s, err := core.New(kind, params)
-		if err != nil {
-			return nil, err
-		}
-		for _, op := range e.ops {
-			if op.install {
-				s.Install(op.line, op.data)
-			} else {
-				s.Write(op.line, op.data)
-			}
-		}
-		return s, nil
-	})
-	if err != nil {
 		return nil, err
 	}
-	return v.(core.Scheme), nil
+	return v.(*warmEntry), nil
 }
 
 // warmedScheme hands a runner a scheme warmed through rc.Warmup writebacks
 // plus the matching generator parked at the measured window, either by
-// forking cached warm state (fast path) or by running the warmup cold.
-// The cold path reproduces the historical per-cell behavior exactly; the
-// fast path is bit-identical to it by the fork contracts.
+// replaying a cached warm stream (fast path) or by running the warmup
+// cold. The cold path reproduces the historical per-cell behavior
+// exactly; the fast path feeds the scheme the same install/write sequence
+// in the same order, so it is bit-identical.
 func warmedScheme(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig, topo warmTopology) (core.Scheme, *workload.Generator, error) {
 	wsp := rc.startSpan("warmup", span.Str("workload", prof.Name), span.Str("scheme", string(kind)))
 	outcome := "cold"
@@ -157,13 +117,8 @@ func warmedScheme(prof workload.Profile, kind core.Kind, params core.Params, rc 
 	}()
 	if warmReuseEnabled() && rc.Trace == nil && rc.Backend == "" {
 		if _, ok := paramsKey(params); ok {
-			s, gen, err := warmFork(prof, kind, params, rc, topo)
-			if err == nil {
-				outcome = "fork"
-				return s, gen, nil
-			}
-			// A fork failure (e.g. an array type Fork cannot reach)
-			// falls back to the cold path rather than failing the cell.
+			outcome = "replay"
+			return warmReplay(prof, kind, params, rc, topo)
 		}
 	}
 
@@ -204,25 +159,28 @@ func warmedScheme(prof workload.Profile, kind core.Kind, params core.Params, rc 
 	return s, gen, nil
 }
 
-// warmFork is the fast path behind warmedScheme: fork the cached warm
-// state for this cell.
-func warmFork(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig, topo warmTopology) (core.Scheme, *workload.Generator, error) {
-	streamKey, e, err := warmStreamFor(prof, rc, topo)
+// warmReplay is the fast path behind warmedScheme: replay the cached warm
+// stream for this cell into a fresh scheme.
+func warmReplay(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig, topo warmTopology) (core.Scheme, *workload.Generator, error) {
+	e, err := warmStreamFor(prof, rc, topo)
 	if err != nil {
 		return nil, nil, err
 	}
 	params.Lines = e.gen.Lines()
-	src, err := warmSchemeFor(rc.Spans, streamKey, e, kind, params)
+	s, err := core.New(kind, params)
 	if err != nil {
 		return nil, nil, err
 	}
-	forked, err := core.Fork(src)
-	if err != nil {
-		return nil, nil, err
+	for _, op := range e.ops {
+		if op.install {
+			s.Install(op.line, op.data)
+		} else {
+			s.Write(op.line, op.data)
+		}
 	}
-	gen := e.gen.Fork(func(line uint64, initial []byte) { forked.Install(line, initial) })
-	warmForks.Add(1)
-	return forked, gen, nil
+	gen := e.gen.Fork(func(line uint64, initial []byte) { s.Install(line, initial) })
+	warmReplays.Add(1)
+	return s, gen, nil
 }
 
 // Cell cache keys. The planner predicts runtime sharing by computing the

@@ -27,10 +27,11 @@ func coldRun[T any](t *testing.T, fn func() (T, error)) T {
 	return v
 }
 
-// TestWarmFlipBitIdentical: warm-forked flip cells must be bit-identical
-// to cold runs across schemes, seeds and geometries. The first warm call
-// builds the shared warm state (one cold warmup); a second scheme over the
-// same workload then forks it, and both must equal their cold twins.
+// TestWarmFlipBitIdentical: flip cells that replay a shared warm stream
+// must be bit-identical to cold runs across schemes, seeds and
+// geometries. The first warm call synthesizes the shared stream; a
+// second scheme over the same workload then replays it, and both must
+// equal their cold twins.
 func TestWarmFlipBitIdentical(t *testing.T) {
 	profs := []string{"mcf", "libq"}
 	kinds := []core.Kind{core.KindDeuce, core.KindEncrFNW, core.KindDynDeuce, core.KindINVMM}
@@ -54,7 +55,7 @@ func TestWarmFlipBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(cold, warm) {
-						t.Errorf("%s/%s seed=%d lines=%d: warm-forked result diverges\n cold: %+v\n warm: %+v",
+						t.Errorf("%s/%s seed=%d lines=%d: replayed result diverges\n cold: %+v\n warm: %+v",
 							pn, kind, seed, lines, cold, warm)
 					}
 				}
@@ -64,10 +65,60 @@ func TestWarmFlipBitIdentical(t *testing.T) {
 	ResetCache()
 }
 
-// TestWarmForkActuallyForks: the second scheme sharing a warm stream must
-// be served by a fork, not a cold warmup — otherwise the suite above only
-// proves the cold path against itself.
-func TestWarmForkActuallyForks(t *testing.T) {
+// TestWarmReplayEveryScheme: every registered scheme, on both the flip
+// and the perf topology, must produce the same result from a replayed
+// warm stream as from its own cold warmup. All kinds replay one cached
+// stream per topology, so a scheme that mutated the shared ops would
+// also break the kinds after it.
+func TestWarmReplayEveryScheme(t *testing.T) {
+	prof, err := workload.ByName("libq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := RunConfig{Writebacks: 300, Lines: 64, Seed: 6}
+	kinds := core.Kinds()
+	coldFlip := make([]FlipResult, len(kinds))
+	coldPerf := make([]PerfResult, len(kinds))
+	for i, kind := range kinds {
+		coldFlip[i] = coldRun(t, func() (FlipResult, error) {
+			return RunFlips(prof, kind, core.Params{}, rc, true)
+		})
+		coldPerf[i] = coldRun(t, func() (PerfResult, error) {
+			return RunPerf(prof, kind, core.Params{}, rc)
+		})
+	}
+	SetWarmReuse(true)
+	ResetCache()
+	ResetReuse()
+	t.Cleanup(ResetCache)
+	for i, kind := range kinds {
+		t.Run(string(kind), func(t *testing.T) {
+			flip, err := RunFlips(prof, kind, core.Params{}, rc, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(coldFlip[i], flip) {
+				t.Errorf("flip: replayed result diverges\n cold: %+v\n warm: %+v", coldFlip[i], flip)
+			}
+			perf, err := RunPerf(prof, kind, core.Params{}, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if coldPerf[i] != perf {
+				t.Errorf("perf: replayed result diverges\n cold: %+v\n warm: %+v", coldPerf[i], perf)
+			}
+		})
+	}
+	if r := Reuse(); r.WarmReplays != int64(2*len(kinds)) || r.ColdWarmups != 2 {
+		t.Errorf("expected %d replays of 2 streams, got %d replays and %d cold warmups",
+			2*len(kinds), r.WarmReplays, r.ColdWarmups)
+	}
+}
+
+// TestWarmStreamSharedAcrossKinds: two kinds over one workload must
+// synthesize the warm stream once and each replay it — otherwise the
+// suites above only prove the cold path against itself.
+func TestWarmStreamSharedAcrossKinds(t *testing.T) {
 	prof, err := workload.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
@@ -84,76 +135,43 @@ func TestWarmForkActuallyForks(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := Reuse()
-	if r.WarmForks < 2 {
-		t.Errorf("expected both cells to fork the shared warm state, got WarmForks=%d (ColdWarmups=%d)",
-			r.WarmForks, r.ColdWarmups)
+	if r.WarmReplays != 2 {
+		t.Errorf("expected both cells to replay the shared warm stream, got WarmReplays=%d (ColdWarmups=%d)",
+			r.WarmReplays, r.ColdWarmups)
 	}
-	if r.ColdWarmups != 2 {
-		// One flip warm-scheme build per kind; the stream is shared.
-		t.Errorf("expected exactly 2 cold warmups (one warm-scheme build per kind), got %d", r.ColdWarmups)
+	if r.ColdWarmups != 1 {
+		t.Errorf("expected exactly 1 cold warmup (the shared stream's synthesis), got %d", r.ColdWarmups)
 	}
 }
 
-// TestWarmPerfBitIdentical: warm-forked timed cells must match cold runs
-// on both the sequential and the sharded engine, and the two engines must
-// keep matching each other (the §9 contract composed with warm forking).
+// TestWarmPerfBitIdentical: timed cells that replay a shared warm stream
+// must match cold runs.
 func TestWarmPerfBitIdentical(t *testing.T) {
 	prof, err := workload.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []core.Kind{core.KindDeuce, core.KindEncrFNW} {
-		for _, shards := range []int{1, 2} {
-			rc := RunConfig{Writebacks: 400, Lines: 64, Seed: 3, TimingShards: shards}
-			cold := coldRun(t, func() (PerfResult, error) {
-				return RunPerf(prof, kind, core.Params{}, rc)
-			})
-			SetWarmReuse(true)
-			ResetCache()
-			ResetReuse()
-			warm, err := RunPerf(prof, kind, core.Params{}, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cold != warm {
-				t.Errorf("%s shards=%d: warm-forked perf diverges\n cold: %+v\n warm: %+v",
-					kind, shards, cold, warm)
-			}
+		rc := RunConfig{Writebacks: 400, Lines: 64, Seed: 3}
+		cold := coldRun(t, func() (PerfResult, error) {
+			return RunPerf(prof, kind, core.Params{}, rc)
+		})
+		SetWarmReuse(true)
+		ResetCache()
+		ResetReuse()
+		warm, err := RunPerf(prof, kind, core.Params{}, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold != warm {
+			t.Errorf("%s: replayed perf diverges\n cold: %+v\n warm: %+v", kind, cold, warm)
 		}
 	}
 	ResetCache()
 }
 
-// TestWarmSequentialShardedShareCell: a sequential run and a sharded run
-// of the same cell must be served from one cache entry (TimingShards is
-// excluded from the key by the determinism contract).
-func TestWarmSequentialShardedShareCell(t *testing.T) {
-	prof, err := workload.ByName("libq")
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetWarmReuse(true)
-	ResetCache()
-	t.Cleanup(ResetCache)
-	seq, err := RunPerf(prof, core.KindDeuce, core.Params{}, RunConfig{Writebacks: 300, Lines: 64, Seed: 1, TimingShards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := RunPerfCalls()
-	sh, err := RunPerf(prof, core.KindDeuce, core.Params{}, RunConfig{Writebacks: 300, Lines: 64, Seed: 1, TimingShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := RunPerfCalls(); got != before {
-		t.Errorf("sharded twin re-executed the cell: RunPerfCalls %d -> %d", before, got)
-	}
-	if seq != sh {
-		t.Errorf("cached cell served different results: %+v vs %+v", seq, sh)
-	}
-}
-
-// TestWarmWearBitIdentical: wear cells cannot fork (wrapped array) but are
-// memoized; the memoized result must equal the cold one, and the wear
+// TestWarmWearBitIdentical: wear cells cannot replay (wrapped array) but
+// are memoized; the memoized result must equal the cold one, and the wear
 // profile must be a caller-owned copy.
 func TestWarmWearBitIdentical(t *testing.T) {
 	prof, err := workload.ByName("mcf")
@@ -214,8 +232,8 @@ func TestWarmDisabledRestoresColdCounting(t *testing.T) {
 		t.Errorf("reuse disabled: expected 2 executions, got %d", got)
 	}
 	r := Reuse()
-	if r.WarmForks != 0 {
-		t.Errorf("reuse disabled but WarmForks=%d", r.WarmForks)
+	if r.WarmReplays != 0 {
+		t.Errorf("reuse disabled but WarmReplays=%d", r.WarmReplays)
 	}
 	if r.ColdWarmups != 2 {
 		t.Errorf("expected 2 cold warmups, got %d", r.ColdWarmups)

@@ -4,7 +4,8 @@ package workload
 // same stream state: both copies produce the bit-identical future event
 // stream, and advancing either never affects the other. It is the workload
 // half of warm-state reuse (internal/exp) — a generator warmed once is
-// forked per grid cell, paired with a core.Fork of the scheme it warmed.
+// forked per grid cell, paired with a fresh scheme that replays the
+// recorded warmup stream.
 //
 // firstTouch replaces cfg.FirstTouch in the copy. The original's callback
 // almost always captures the original scheme (experiment runners pass a
