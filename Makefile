@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt-check doclint build vet test race race-timing race-durability bench-smoke bench-writehot bench-warm bench-spans bench-serve bench-backend fidelity fidelity-report fidelity-reverdict
+.PHONY: check fmt-check doclint build vet test race fuzz-smoke race-timing race-durability bench-smoke bench-writehot bench-warm bench-spans bench-serve bench-backend fidelity fidelity-report fidelity-reverdict
 
 # check is the pre-merge gate: static checks, full tests under the race
-# detector, and a short smoke of the steady-state write benchmark so a
-# regression that reintroduces hot-path allocations fails fast.
-check: fmt-check doclint vet build test race bench-smoke
+# detector, a short fuzz of the ledger decoders, and a short smoke of the
+# steady-state write benchmark so a regression that reintroduces hot-path
+# allocations fails fast.
+check: fmt-check doclint vet build test race fuzz-smoke bench-smoke
 
 # fmt-check fails (listing the offenders) when any file is not gofmt-clean.
 fmt-check:
@@ -29,12 +30,20 @@ test:
 race:
 	$(GO) test -race ./...
 
+# fuzz-smoke fuzzes the regression ledger's decoders (ledger JSONL,
+# -metrics snapshots, BENCH records, `go test -bench` text) for 10 s,
+# seeded from the committed ledgers and BENCH files: every input must
+# decode or return an error, never panic. Minimization is capped so the
+# budget goes to new inputs.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzLedgerRead -fuzztime 10s -fuzzminimizetime 200x ./internal/regress/
+
 # race-timing is the focused race pass for the deterministic-parallelism
 # machinery: the timing model in internal/timing, the parallel grid /
 # shared warm-stream / planner paths in internal/exp, the generator fork
-# in internal/workload, the concurrent serving telemetry (the atomic
-# obs registry, the striped lock-free histograms with their merge
-# property test, and the serving harness), and the sharded serving
+# in internal/workload, the concurrent telemetry (the striped obs
+# registry's 64-goroutine hammer, the lock-free histograms with their
+# merge property test, and the serving harness), and the sharded serving
 # front end's differential replay suite (internal/servefront), all under
 # the race detector. A subset of `race`, split out so CI can run it on
 # every push even when the full race matrix is pruned.
@@ -42,7 +51,7 @@ race-timing:
 	$(GO) test -race ./internal/timing/
 	$(GO) test -race -run 'TestPerfGrid|TestWarm|TestPlan' ./internal/exp/
 	$(GO) test -race -run 'TestFork' ./internal/workload/
-	$(GO) test -race ./internal/obs/ ./internal/obs/serve/ ./internal/servebench/ ./internal/servefront/
+	$(GO) test -race ./internal/obs/ ./internal/servebench/ ./internal/servefront/
 
 # race-durability is the focused race pass for the persistence layer: the
 # backend implementations and their failure-path tests, the pcmdev /

@@ -21,12 +21,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
-	"strings"
 	"testing"
-	"time"
 
 	"deuce"
+	"deuce/internal/obs"
 )
 
 // noMmapEnv mirrors internal/backend's escape hatch; setting it forces
@@ -85,23 +83,11 @@ func main() {
 	}
 
 	doc := struct {
-		Benchmark   string `json:"benchmark"`
-		Description string `json:"description"`
-		Date        string `json:"date"`
-		Goos        string `json:"goos"`
-		Goarch      string `json:"goarch"`
-		CPU         string `json:"cpu"`
-		Go          string `json:"go"`
-		Results     []row  `json:"results"`
-		Notes       string `json:"notes"`
+		obs.BenchHeader
+		Results []row  `json:"results"`
+		Notes   string `json:"notes"`
 	}{
-		Benchmark:   "BenchmarkBackendWrite",
-		Description: fmt.Sprintf("Steady-state DEUCE write path per storage backend: %d installed lines, sparse 1-byte mutation per iteration, rotating lines; file-sync64 adds a full Sync every 64 writes. All backends verified bit-identical on a fixed differential trace before timing. Regenerate with `make bench-backend`.", *lines),
-		Date:        time.Now().Format("2006-01-02"),
-		Goos:        runtime.GOOS,
-		Goarch:      runtime.GOARCH,
-		CPU:         cpuModel(),
-		Go:          runtime.Version(),
+		BenchHeader: obs.NewBenchHeader("BenchmarkBackendWrite", fmt.Sprintf("Steady-state DEUCE write path per storage backend: %d installed lines, sparse 1-byte mutation per iteration, rotating lines; file-sync64 adds a full Sync every 64 writes. All backends verified bit-identical on a fixed differential trace before timing. Regenerate with `make bench-backend`.", *lines)),
 		Results:     rows,
 		Notes:       "mem is the zero-copy Pager fast path BenchmarkWriteHot also exercises; file adds mmap page access (near-mem), file-nommap pays a pread+pwrite per touched page, dir adds shard routing on top of mmap, and file-sync64 shows the msync amortization. Ingested into the regression ledger by the CI durability job via `deucereport record -bench`.",
 	}
@@ -198,22 +184,6 @@ func writeHot(b *testing.B, v variant, lines int) {
 			}
 		}
 	}
-}
-
-// cpuModel best-effort reads the CPU model name for the record header.
-func cpuModel() string {
-	blob, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return runtime.GOARCH
-	}
-	for _, line := range strings.Split(string(blob), "\n") {
-		if strings.HasPrefix(line, "model name") {
-			if _, after, ok := strings.Cut(line, ":"); ok {
-				return strings.TrimSpace(after)
-			}
-		}
-	}
-	return runtime.GOARCH
 }
 
 // fatal prints a formatted error and exits non-zero.

@@ -25,28 +25,20 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"runtime"
-	"strings"
 	"time"
 
 	"deuce/internal/exp"
 	"deuce/internal/fidelity"
+	"deuce/internal/obs"
 	"deuce/internal/obs/span"
 )
 
 // record mirrors the schema of BENCH_writehot.json so `deucereport
 // record -bench` ingests it unchanged.
 type record struct {
-	Benchmark   string   `json:"benchmark"`
-	Description string   `json:"description"`
-	Date        string   `json:"date"`
-	Goos        string   `json:"goos"`
-	Goarch      string   `json:"goarch"`
-	CPU         string   `json:"cpu"`
-	Go          string   `json:"go"`
-	Cores       int      `json:"cores"`
-	Results     []result `json:"results"`
-	Notes       string   `json:"notes"`
+	obs.BenchHeader
+	Results []result `json:"results"`
+	Notes   string   `json:"notes"`
 }
 
 type result struct {
@@ -117,15 +109,8 @@ func main() {
 	}
 
 	rec := record{
-		Benchmark: "BenchmarkSpanTracing",
-		Description: fmt.Sprintf("Full fidelity gate (deucereport check -experiment all, %d writebacks, %d lines — the CI gate scale) wall clock with span tracing off vs on, min of %d runs per leg. Regenerate with `make bench-spans`.",
-			*writebacks, *lines, *iters),
-		Date:   time.Now().Format("2006-01-02"),
-		Goos:   runtime.GOOS,
-		Goarch: runtime.GOARCH,
-		CPU:    cpuModel(),
-		Go:     runtime.Version(),
-		Cores:  runtime.NumCPU(),
+		BenchHeader: obs.NewBenchHeader("BenchmarkSpanTracing", fmt.Sprintf("Full fidelity gate (deucereport check -experiment all, %d writebacks, %d lines — the CI gate scale) wall clock with span tracing off vs on, min of %d runs per leg. Regenerate with `make bench-spans`.",
+			*writebacks, *lines, *iters)),
 		Results: []result{
 			{Scheme: "gate_untraced", NsPerOp: untraced.Nanoseconds()},
 			{Scheme: "gate_traced", NsPerOp: traced.Nanoseconds()},
@@ -140,20 +125,6 @@ func main() {
 		fatal("%v", err)
 	}
 	fmt.Printf("wrote %s\n", *out)
-}
-
-// cpuModel best-effort reads the CPU model name for the record header.
-func cpuModel() string {
-	blob, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(blob), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
-		}
-	}
-	return ""
 }
 
 // fatal prints a formatted error and exits non-zero.

@@ -25,27 +25,19 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"runtime"
-	"strings"
 	"time"
 
 	"deuce/internal/exp"
 	"deuce/internal/fidelity"
+	"deuce/internal/obs"
 )
 
 // record mirrors the schema of BENCH_writehot.json so
 // `deucereport record -bench` ingests it unchanged.
 type record struct {
-	Benchmark   string   `json:"benchmark"`
-	Description string   `json:"description"`
-	Date        string   `json:"date"`
-	Goos        string   `json:"goos"`
-	Goarch      string   `json:"goarch"`
-	CPU         string   `json:"cpu"`
-	Go          string   `json:"go"`
-	Cores       int      `json:"cores"`
-	Results     []result `json:"results"`
-	Notes       string   `json:"notes"`
+	obs.BenchHeader
+	Results []result `json:"results"`
+	Notes   string   `json:"notes"`
 }
 
 type result struct {
@@ -130,15 +122,8 @@ func main() {
 		float64(cold)/float64(warm), float64(cold)/float64(increment))
 
 	rec := record{
-		Benchmark: "BenchmarkFidelityGate",
-		Description: fmt.Sprintf("Full fidelity gate (deucereport check -experiment all, %d writebacks, %d lines — the CI gate scale) wall clock: cold (warm-state reuse off), with warm-state snapshot/fork reuse and the experiment planner, and as an incremental recheck against the run's own recording. Regenerate with `make bench-warm`.",
-			*writebacks, *lines),
-		Date:   time.Now().Format("2006-01-02"),
-		Goos:   runtime.GOOS,
-		Goarch: runtime.GOARCH,
-		CPU:    cpuModel(),
-		Go:     runtime.Version(),
-		Cores:  runtime.NumCPU(),
+		BenchHeader: obs.NewBenchHeader("BenchmarkFidelityGate", fmt.Sprintf("Full fidelity gate (deucereport check -experiment all, %d writebacks, %d lines — the CI gate scale) wall clock: cold (warm-state reuse off), with warm-state reuse and the experiment planner, and as an incremental recheck against the run's own recording. Regenerate with `make bench-warm`.",
+			*writebacks, *lines)),
 		Results: []result{
 			{Scheme: "gate_cold", NsPerOp: cold.Nanoseconds()},
 			{Scheme: "gate_warm_reuse", NsPerOp: warm.Nanoseconds()},
@@ -154,20 +139,6 @@ func main() {
 		fatal("%v", err)
 	}
 	fmt.Printf("wrote %s\n", *out)
-}
-
-// cpuModel best-effort reads the CPU model name for the record header.
-func cpuModel() string {
-	blob, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(blob), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
-		}
-	}
-	return ""
 }
 
 // fatal prints a formatted error and exits non-zero.

@@ -158,12 +158,12 @@ func main() {
 	}
 
 	// Suite-level metrics: grid sweeps clear the per-run Metrics hook (it
-	// is single-writer), so deucebench records what the suite itself
+	// describes one run), so deucebench records what the suite itself
 	// observes — per-experiment wall time and the run count — for the
 	// regression ledger to trend across commits.
 	var reg *obs.Registry
 	if *metricsOut != "" {
-		reg = obs.NewRegistry()
+		reg = obs.NewRegistry(1)
 	}
 
 	run := func(e exp.Experiment) error {
@@ -173,7 +173,7 @@ func main() {
 			return err
 		}
 		if reg != nil {
-			reg.Counter("experiments_run").Inc()
+			reg.Counter("experiments_run").Inc(0)
 			reg.Gauge("duration_ms/" + e.ID).Set(float64(time.Since(start).Milliseconds()))
 		}
 		var body string

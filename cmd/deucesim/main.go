@@ -177,7 +177,7 @@ func run() error {
 	}
 	var reg *obs.Registry
 	if *metricsPath != "" {
-		reg = obs.NewRegistry()
+		reg = obs.NewRegistry(1)
 	}
 	rc := exp.RunConfig{
 		Writebacks:   *writebacks,
@@ -243,7 +243,7 @@ func run() error {
 		reg.Gauge("flip_frac").Set(res.FlipFrac)
 		reg.Gauge("slot_avg").Set(res.SlotAvg)
 		reg.Gauge("wear_skew").Set(wp.Skew())
-		reg.Counter("writebacks").Add(res.Writes)
+		reg.Counter("writebacks").Add(0, res.Writes)
 	}
 	return writeObsOutputs(meta, tr, hm, reg, *tracePrefix, *heatmapPath, *metricsPath)
 }

@@ -164,7 +164,7 @@ func TestRunTableCacheIsolation(t *testing.T) {
 	}
 
 	// A config carrying a per-run hook must bypass the table cache.
-	if _, err := e.RunTable(RunConfig{Writebacks: 100, Lines: 32, Metrics: obs.NewRegistry()}); err != nil {
+	if _, err := e.RunTable(RunConfig{Writebacks: 100, Lines: 32, Metrics: obs.NewRegistry(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if runs != 2 {

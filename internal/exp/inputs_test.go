@@ -48,7 +48,7 @@ func TestInputsHashDiscriminates(t *testing.T) {
 // TestInputsHashUnhashableWithHooks: a config carrying a single-run
 // recording hook must not produce a reusable hash.
 func TestInputsHashUnhashableWithHooks(t *testing.T) {
-	rc := RunConfig{Writebacks: 300, Lines: 64, Seed: 4, Metrics: obs.NewRegistry()}
+	rc := RunConfig{Writebacks: 300, Lines: 64, Seed: 4, Metrics: obs.NewRegistry(1)}
 	if h := InputsHash("fig10", rc); h != "" {
 		t.Errorf("hooked config produced hash %q; recorded tables cannot replay hooks", h)
 	}

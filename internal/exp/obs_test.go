@@ -1,64 +1,77 @@
 package exp
 
 import (
+	"math"
 	"testing"
 
 	"deuce/internal/core"
 	"deuce/internal/obs"
+	"deuce/internal/pcmdev"
 	"deuce/internal/workload"
 )
 
 // A single RunFlips with every observability hook attached must produce a
 // trace covering exactly the measured window, periodic heatmap rows plus a
-// final one, and per-writeback metric histograms.
+// final one, and per-writeback metric histograms that agree with the
+// result: same count, and means equal to the reported slot average and
+// flip fraction. Equal means pin the window too — warmup writes leaking
+// into the histograms would shift them away from the measured stats.
 func TestRunFlipsObservability(t *testing.T) {
 	prof, err := workload.ByName("libq")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTrace(4096, 1)
-	hm := obs.NewHeatmap()
-	reg := obs.NewRegistry()
-	rc := RunConfig{
-		Writebacks:   250,
-		Lines:        64,
-		Seed:         1,
-		Trace:        tr,
-		Heatmap:      hm,
-		HeatmapEvery: 100,
-		Metrics:      reg,
-	}
-	res, err := RunFlips(prof, core.KindDeuce, core.Params{}, rc, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Writes != 250 {
-		t.Fatalf("measured %d writes, want 250", res.Writes)
-	}
-	// Unsampled trace over the measured window only: warmup events are
-	// dropped at the stats-reset boundary.
-	if tr.Seen() != 250 || tr.Len() != 250 {
-		t.Fatalf("trace seen=%d len=%d, want 250/250", tr.Seen(), tr.Len())
-	}
-	// Rows at writeback 100, 200 and the final row at 250.
-	if hm.Rows() != 3 {
-		t.Fatalf("heatmap rows = %d, want 3", hm.Rows())
-	}
-	if len(hm.Last()) == 0 {
-		t.Fatal("heatmap snapshot has no lines")
-	}
-	snap := reg.Snapshot()
-	for _, name := range []string{"write_slots", "write_flips"} {
-		h, ok := snap.Hists[name]
-		if !ok {
-			t.Fatalf("histogram %q missing from registry", name)
+	const lineBits = pcmdev.DefaultLineBytes * 8
+	for _, kind := range []core.Kind{core.KindDeuce, core.KindEncrFNW} {
+		tr := obs.NewTrace(4096, 1)
+		hm := obs.NewHeatmap()
+		reg := obs.NewRegistry(1)
+		rc := RunConfig{
+			Writebacks:   250,
+			Lines:        64,
+			Seed:         1,
+			Trace:        tr,
+			Heatmap:      hm,
+			HeatmapEvery: 100,
+			Metrics:      reg,
 		}
-		var n uint64
-		for _, c := range h.Counts {
-			n += c
+		res, err := RunFlips(prof, kind, core.Params{}, rc, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if n != 250 || h.N != 250 {
-			t.Fatalf("histogram %q holds %d observations (N=%d), want 250", name, n, h.N)
+		if res.Writes != 250 {
+			t.Fatalf("%s: measured %d writes, want 250", kind, res.Writes)
+		}
+		// Unsampled trace over the measured window only: warmup events are
+		// dropped at the stats-reset boundary.
+		if tr.Seen() != 250 || tr.Len() != 250 {
+			t.Fatalf("%s: trace seen=%d len=%d, want 250/250", kind, tr.Seen(), tr.Len())
+		}
+		// Rows at writeback 100, 200 and the final row at 250.
+		if hm.Rows() != 3 {
+			t.Fatalf("%s: heatmap rows = %d, want 3", kind, hm.Rows())
+		}
+		if len(hm.Last()) == 0 {
+			t.Fatalf("%s: heatmap snapshot has no lines", kind)
+		}
+		snap := reg.Snapshot()
+		for _, tc := range []struct {
+			name string
+			mean float64
+		}{
+			{"write_slots", res.SlotAvg},
+			{"write_flips", res.FlipFrac * lineBits},
+		} {
+			q, ok := snap.Lat[tc.name]
+			if !ok {
+				t.Fatalf("%s: histogram %q missing from registry", kind, tc.name)
+			}
+			if q.N != res.Writes {
+				t.Fatalf("%s: histogram %q holds %d observations, want %d", kind, tc.name, q.N, res.Writes)
+			}
+			if math.Abs(q.MeanNs-tc.mean) > 1e-9 {
+				t.Errorf("%s: histogram %q mean = %v, want %v", kind, tc.name, q.MeanNs, tc.mean)
+			}
 		}
 	}
 }

@@ -57,12 +57,11 @@ type RunConfig struct {
 	// gets a fresh subdirectory (left behind for inspection).
 	BackendDir string
 
-	// Observability hooks. Trace, Heatmap and Metrics follow the
-	// single-writer contract (one run, one goroutine), so grid sweeps
-	// clear them before fanning out — they describe a single run, not a
-	// sweep. Progress is atomic and is the one field that crosses the
-	// worker pool. All are optional; nil disables the hook at the cost of
-	// at most one branch per writeback.
+	// Observability hooks. Trace, Heatmap and Metrics describe a single
+	// run, not a sweep (Trace and Heatmap are also single-writer), so grid
+	// sweeps clear them before fanning out. Progress is atomic and is the
+	// one field that crosses the worker pool. All are optional; nil
+	// disables the hook at the cost of at most one branch per writeback.
 
 	// Trace receives one WriteEvent per measured writeback (sampled at
 	// the trace's configured rate). Forwarded into core.Params.Trace
@@ -186,10 +185,10 @@ func runFlipsMeasured(prof workload.Profile, kind core.Kind, params core.Params,
 	if rc.Trace != nil {
 		rc.Trace.Reset() // drop warmup events: the trace covers the measured window
 	}
-	var hSlots, hFlips *obs.Histogram
+	var hSlots, hFlips *obs.Hist
 	if rc.Metrics != nil {
-		hSlots = rc.Metrics.Histogram("write_slots", []uint64{0, 1, 2, 3})
-		hFlips = rc.Metrics.Histogram("write_flips", []uint64{8, 16, 32, 64, 128, 256})
+		hSlots = rc.Metrics.Hist("write_slots").Stripe(0)
+		hFlips = rc.Metrics.Hist("write_flips").Stripe(0)
 	}
 	lastMark := uint64(0)
 	for i := 0; i < rc.Writebacks; i++ {
@@ -264,10 +263,11 @@ func runGridRun(profs []workload.Profile, cfgs []cell1, rc RunConfig, keepPositi
 	if len(cfgs) == 0 {
 		return results, nil
 	}
-	// Trace/Heatmap/Metrics are single-writer objects describing one run;
-	// sharing them across concurrently executing cells would race and
-	// interleave unrelated runs. Progress and Spans are the designed
-	// cross-worker hooks and are the ones a sweep keeps.
+	// Trace and Heatmap are single-writer objects describing one run;
+	// sharing them across concurrently executing cells would race. Metrics
+	// is concurrency-safe but also describes one run, so a sweep would
+	// interleave unrelated cells into it. Progress and Spans are the
+	// designed cross-worker hooks and are the ones a sweep keeps.
 	rc.Trace, rc.Heatmap, rc.Metrics = nil, nil, nil
 	err := forEachCellObserved(len(profs)*len(cfgs), rc.Progress, func(i int) error {
 		wi, ci := i/len(cfgs), i%len(cfgs)

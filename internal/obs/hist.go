@@ -1,32 +1,4 @@
-// Package serve is the concurrency-safe half of the observability layer:
-// request-granularity telemetry for serving workloads where thousands of
-// goroutines hammer one Memory front end at once.
-//
-// The single-writer registry in internal/obs deliberately keeps its hot
-// path to plain uint64 stores; that contract cannot hold once N client
-// goroutines record latencies concurrently. This package provides the
-// concurrent counterparts, built on two disciplines:
-//
-//   - Lock-free, zero-allocation recording. Hist.Observe is a bucket-index
-//     computation plus three atomic adds into constant, preallocated
-//     memory; Counter.Add is one atomic add into a cache-line-padded
-//     stripe. No mutexes, no channels, no allocation — recording a
-//     request costs nanoseconds regardless of contention (DEUCE's own
-//     evaluation discipline: the hot path must stay cheap).
-//
-//   - Merge-on-snapshot. Writers never coordinate; stripes are summed and
-//     histograms merged bucket-wise only when a snapshot is taken. Merges
-//     are exact — merging K striped histograms yields bit-identical
-//     buckets to observing the concatenated stream (property-tested) — so
-//     quantiles computed from a merged snapshot are as good as from a
-//     single global histogram, without a single shared cache line on the
-//     record path.
-//
-// A Metrics set groups striped counters, additive gauges and latency
-// histograms behind per-worker stripe indices; a Streamer emits periodic
-// JSONL snapshots (schema-goldened) plus a final Summary the regression
-// ledger ingests (internal/regress, BENCH_serve.json).
-package serve
+package obs
 
 import (
 	"math"
@@ -74,11 +46,13 @@ func bucketUpper(i int) uint64 {
 	return bucketLower(i+1) - 1
 }
 
-// Hist is a lock-free latency histogram: log-bucketed counts over the
-// full uint64 range at constant memory, with zero allocations and no
-// locks on Observe. One Hist is safe for any number of concurrent
-// observers; for write-heavy paths, give each worker its own Hist (see
-// StripedHist) and merge at snapshot time — merges are exact.
+// Hist is a lock-free histogram: log-bucketed counts over the full
+// uint64 range at constant memory, with zero allocations and no locks on
+// Observe. It records request latencies in nanoseconds as well as the
+// simulator's per-write slot and flip counts. One Hist is safe for any
+// number of concurrent observers; for write-heavy paths, give each worker
+// its own Hist (see StripedHist) and merge at snapshot time — merges are
+// exact.
 type Hist struct {
 	counts [histBuckets]atomic.Uint64
 	n      atomic.Uint64
@@ -86,9 +60,9 @@ type Hist struct {
 	max    atomic.Uint64
 }
 
-// Observe records one value (a latency in nanoseconds, by convention).
-// It is lock-free and allocation-free: one bucket-index computation,
-// three atomic adds, and a CAS loop for the running maximum.
+// Observe records one value. It is lock-free and allocation-free: one
+// bucket-index computation, three atomic adds, and a CAS loop for the
+// running maximum.
 func (h *Hist) Observe(v uint64) {
 	h.counts[bucketIndex(v)].Add(1)
 	h.n.Add(1)
@@ -120,16 +94,6 @@ func (h *Hist) Snapshot() HistSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Reset zeroes the histogram. Not safe concurrently with Observe.
-func (h *Hist) Reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.n.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
 }
 
 // HistSnapshot is a detached copy of a Hist (or a merge of several).
@@ -224,7 +188,9 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 }
 
 // Quantiles is the fixed percentile set snapshots stream and summaries
-// report: p50/p90/p99/p999 plus count, mean and max.
+// report: p50/p90/p99/p999 plus count, mean and max. The field names
+// carry an _ns suffix because latency is the common case; a histogram of
+// slots or flips per write reports the same fields in its own unit.
 type Quantiles struct {
 	// N is the observation count the quantiles were computed over.
 	N uint64 `json:"n"`

@@ -1,4 +1,4 @@
-package serve
+package obs
 
 import (
 	"math"
@@ -106,6 +106,60 @@ func TestHistQuantileEdgeCases(t *testing.T) {
 	}
 }
 
+// Quantile locates the target rank's bucket and interpolates inside it.
+func TestHistogramQuantile(t *testing.T) {
+	// Values below subCount each own an exact bucket, so a one-sample
+	// bucket reports its value.
+	var exact Hist
+	for v := uint64(1); v <= 20; v++ {
+		exact.Observe(v)
+	}
+	s := exact.Snapshot()
+	if got := s.Quantile(0.5); got != 10 {
+		t.Errorf("Quantile(0.5) = %g, want 10 (rank 10 of 20)", got)
+	}
+	if got := s.Quantile(0.75); got != 15 {
+		t.Errorf("Quantile(0.75) = %g, want 15 (rank 15 of 20)", got)
+	}
+
+	// Four samples in the bucket [1024,1055] map ranks 1..4 onto the
+	// bucket's full width; the top rank reports the tracked maximum.
+	var wide Hist
+	for i := 0; i < 4; i++ {
+		wide.Observe(1030)
+	}
+	wide.Observe(5000)
+	s = wide.Snapshot()
+	for _, tc := range []struct{ q, want float64 }{
+		{0.1, 1024},            // rank 1: the bucket's lower bound
+		{0.5, 1024 + 31*2.0/3}, // rank 3 of the bucket's 4
+		{0.7, 1055},            // rank 4: the bucket's upper bound
+		{0.99, 5000},           // rank 5 = N: the exact maximum
+	} {
+		if got := s.Quantile(tc.q); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("Quantile(%g) = %g, want %g", tc.q, got, tc.want)
+		}
+	}
+
+	// When the maximum falls inside the located bucket, the bucket ends
+	// there: no estimate exceeds an observed value.
+	var clamp Hist
+	clamp.Observe(1024)
+	clamp.Observe(1030)
+	clamp.Observe(1030)
+	if got := clamp.Snapshot().Quantile(0.5); got < 1024 || got > 1030 {
+		t.Errorf("clamped Quantile(0.5) = %g, want within [1024,1030]", got)
+	}
+
+	// Out-of-range q clamps instead of misbehaving.
+	if got, want := s.Quantile(-0.5), s.Quantile(0); got != want {
+		t.Errorf("Quantile(-0.5) = %g, want %g", got, want)
+	}
+	if got, want := s.Quantile(1.5), s.Quantile(1); got != want {
+		t.Errorf("Quantile(1.5) = %g, want %g", got, want)
+	}
+}
+
 func TestHistQuantileVsExact(t *testing.T) {
 	// Against an exact sorted-sample quantile, the histogram estimate
 	// must stay within the layout's ~3% relative error (plus one bucket
@@ -139,20 +193,5 @@ func TestHistObserveZeroAlloc(t *testing.T) {
 		h.Observe(1 << 40)
 	}); n != 0 {
 		t.Fatalf("Observe allocates %.2f times per run, want 0", n)
-	}
-}
-
-func TestHistReset(t *testing.T) {
-	var h Hist
-	h.Observe(7)
-	h.Reset()
-	s := h.Snapshot()
-	if s.N != 0 || s.Sum != 0 || s.Max != 0 {
-		t.Fatalf("after Reset: n=%d sum=%d max=%d", s.N, s.Sum, s.Max)
-	}
-	for i, c := range s.Counts {
-		if c != 0 {
-			t.Fatalf("after Reset: bucket %d = %d", i, c)
-		}
 	}
 }

@@ -1,4 +1,4 @@
-package serve
+package obs
 
 import (
 	"math/rand"
@@ -35,8 +35,7 @@ func TestMergePropertyStripesEqualConcatenated(t *testing.T) {
 			assign[i] = rng.Intn(k)
 		}
 
-		m := NewMetrics(k)
-		sh := m.Hist("lat")
+		sh := NewRegistry(k).Hist("lat")
 		var wg sync.WaitGroup
 		for stripe := 0; stripe < k; stripe++ {
 			wg.Add(1)

@@ -106,8 +106,8 @@ func TestBuildInfoString(t *testing.T) {
 }
 
 func TestServeDebug(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("writes").Add(42)
+	r := NewRegistry(1)
+	r.Counter("writes").Add(0, 42)
 	r.Expvar("test_serve_debug")
 	srv, addr, err := ServeDebug("127.0.0.1:0")
 	if err != nil {
@@ -128,7 +128,7 @@ func TestServeDebug(t *testing.T) {
 		return string(body)
 	}
 	vars := get("/debug/vars")
-	if !strings.Contains(vars, `"test_serve_debug"`) || !strings.Contains(vars, `"writes": 42`) {
+	if !strings.Contains(vars, `"test_serve_debug"`) || !strings.Contains(vars, `"writes":42`) {
 		t.Fatalf("/debug/vars missing registry:\n%s", vars)
 	}
 	if !json.Valid([]byte(vars)) {

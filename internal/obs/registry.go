@@ -2,55 +2,78 @@
 // a sampled write-event trace, wear heatmaps, experiment progress tracking,
 // a run manifest, and a debug HTTP endpoint.
 //
-// The design rule throughout is "zero allocation on the hot path": a scheme
-// or device increments counters through pre-resolved handles and records
-// events into a pre-sized ring. All aggregation, formatting and export
-// happens off the write path, at snapshot or export time. Counter, Gauge
-// and Histogram updates are atomic — lock-free and safe from any number of
-// goroutines (the serving front end records from many clients at once) —
-// while staying allocation-free; heavily contended serving paths should
-// prefer the striped implementations in obs/serve, which remove even
-// cache-line sharing. Registration (the name → handle lookups) takes the
-// registry mutex and belongs in setup code, never on a hot path.
+// The design rule throughout is "zero allocation on the hot path": a scheme,
+// device or serving client records through pre-resolved handles and into
+// pre-sized memory. All aggregation, formatting and export happens off the
+// record path, at snapshot or export time.
+//
+// The metrics registry is built on two disciplines:
+//
+//   - Lock-free, zero-allocation recording. Hist.Observe is a bucket-index
+//     computation plus three atomic adds into constant, preallocated
+//     memory; Counter.Add is one atomic add into a cache-line-padded
+//     stripe. No mutexes, no channels, no allocation — recording costs
+//     nanoseconds regardless of contention.
+//
+//   - Merge-on-snapshot. Writers never coordinate; stripes are summed and
+//     histograms merged bucket-wise only when a snapshot is taken. Merges
+//     are exact — merging K striped histograms yields bit-identical
+//     buckets to observing the concatenated stream (property-tested) — so
+//     quantiles computed from a merged snapshot are as good as from a
+//     single global histogram, without a single shared cache line on the
+//     record path.
+//
+// Registration (the name → handle lookups) takes the registry mutex and
+// belongs in setup code, never on a hot path.
 package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric. Updates are atomic: any
-// goroutine may increment through the handle.
-type Counter struct {
-	name string
-	v    atomic.Uint64
+// paddedU64 is an atomic uint64 alone on its cache line, so adjacent
+// stripes never false-share: with one stripe per worker, the record path
+// touches memory no other core writes.
+type paddedU64 struct {
+	v atomic.Uint64
+	_ [56]byte
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+// Counter is a striped monotonic counter: each worker adds into its own
+// cache-line-padded slot, and Value sums the stripes. Adds from any
+// stripe index are safe from any goroutine (slots are atomic); striping
+// is a performance contract, not a safety one.
+type Counter struct {
+	slots []paddedU64
+	mask  uint32
+}
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+// Add adds n on the given worker's stripe.
+func (c *Counter) Add(stripe int, n uint64) { c.slots[uint32(stripe)&c.mask].v.Add(n) }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+// Inc adds one on the given worker's stripe.
+func (c *Counter) Inc(stripe int) { c.Add(stripe, 1) }
 
-// Name returns the registered name.
-func (c *Counter) Name() string { return c.name }
+// Value sums the stripes. Like every merge-on-snapshot read it is exact
+// once writers quiesce, and a consistent floor while they run.
+func (c *Counter) Value() uint64 {
+	var total uint64
+	for i := range c.slots {
+		total += c.slots[i].v.Load()
+	}
+	return total
+}
 
-// Gauge is a last-value-wins metric (e.g. current epoch, ring occupancy).
-// Updates are atomic (the float64 is stored by bits).
+// Gauge is a last-value-wins metric (e.g. a run's flip fraction, a plan's
+// cell count). Updates are atomic (the float64 is stored by bits).
 type Gauge struct {
-	name string
 	bits atomic.Uint64
 }
 
@@ -60,250 +83,108 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Name returns the registered name.
-func (g *Gauge) Name() string { return g.name }
-
-// Histogram counts uint64 observations into buckets with explicit upper
-// bounds (the last bucket is unbounded). Observe is allocation-free and
-// lock-free: bucket, count and sum update atomically, so concurrent
-// observers lose nothing (the three adds are independently atomic, not a
-// transaction — a concurrent snapshot may see an observation's bucket
-// before its sum, which evens out at quiescence).
-type Histogram struct {
-	name   string
-	bounds []uint64 // bucket i counts v <= bounds[i]; len(counts) = len(bounds)+1
-	counts []atomic.Uint64
-	n      atomic.Uint64
-	sum    atomic.Uint64
+// StripedHist is one histogram per stripe: workers observe into their own
+// Hist (no shared cache lines at all on the record path) and Snapshot
+// merges the stripes exactly.
+type StripedHist struct {
+	stripes []*Hist
+	mask    uint32
 }
 
-// Observe counts one observation.
-func (h *Histogram) Observe(v uint64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.n.Add(1)
-	h.sum.Add(v)
-}
+// Stripe returns the given worker's histogram. Workers resolve it once
+// and observe into it directly: lock-free, zero-alloc.
+func (h *StripedHist) Stripe(stripe int) *Hist { return h.stripes[uint32(stripe)&h.mask] }
 
-// N returns the observation count.
-func (h *Histogram) N() uint64 { return h.n.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Mean returns the mean observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.n.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket counts,
-// interpolating linearly inside the located bucket; see HistValues.Quantile
-// for the exact convention (including the unbounded overflow bucket).
-func (h *Histogram) Quantile(q float64) float64 {
-	return HistValues{Bounds: h.Bounds(), Counts: h.Counts(), N: h.N(), Sum: h.Sum()}.Quantile(q)
-}
-
-// Counts returns a copy of the bucket counts; the final element counts
-// observations above the last bound.
-func (h *Histogram) Counts() []uint64 {
-	out := make([]uint64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
+// Snapshot merges every stripe into one exact snapshot.
+func (h *StripedHist) Snapshot() HistSnapshot {
+	out := h.stripes[0].Snapshot()
+	for _, s := range h.stripes[1:] {
+		out = out.Merge(s.Snapshot())
 	}
 	return out
 }
 
-// Bounds returns a copy of the bucket upper bounds.
-func (h *Histogram) Bounds() []uint64 {
-	out := make([]uint64, len(h.bounds))
-	copy(out, h.bounds)
-	return out
-}
-
-// Name returns the registered name.
-func (h *Histogram) Name() string { return h.name }
-
-// Registry holds named metrics. Handles returned by Counter/Gauge/Histogram
-// stay valid for the registry's lifetime, so hot paths resolve names once at
-// setup and then touch only the handle. The handle maps are mutex-guarded
-// (registration and snapshots may race from different goroutines); the
-// handles themselves are atomic, so the update path never touches the lock.
+// Registry holds named metrics. Handles returned by Counter/Gauge/Hist
+// stay valid for the registry's lifetime, so hot paths resolve names once
+// at setup and then touch only the handle. Stripe count is fixed at
+// construction and rounded up to a power of two so stripe selection is a
+// mask.
 type Registry struct {
 	mu       sync.Mutex
+	stripes  int
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	hists    map[string]*StripedHist
 }
 
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
+// NewRegistry creates a registry with the given stripe count (minimum 1,
+// rounded up to a power of two). Size it to the worker count: one stripe
+// per client goroutine eliminates record-path contention. Single-writer
+// tools pass 1 and record on stripe 0.
+func NewRegistry(stripes int) *Registry {
+	n := 1
+	for n < stripes {
+		n <<= 1
+	}
 	return &Registry{
+		stripes:  n,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		hists:    make(map[string]*StripedHist),
 	}
 }
 
-// Counter returns the counter with the given name, creating it at zero on
-// first use.
+// Counter returns the named striped counter, creating it at zero on first
+// use.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{name: name}
+	c := &Counter{slots: make([]paddedU64, r.stripes), mask: uint32(r.stripes - 1)}
 	r.counters[name] = c
 	return c
 }
 
-// Gauge returns the gauge with the given name, creating it on first use.
+// Gauge returns the named gauge, creating it at zero on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
-	g := &Gauge{name: name}
+	g := &Gauge{}
 	r.gauges[name] = g
 	return g
 }
 
-// Histogram returns the histogram with the given name, creating it with the
-// given bucket bounds on first use. bounds must be sorted ascending; later
-// calls for an existing name ignore bounds.
-func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
+// Hist returns the named striped histogram, creating it on first use.
+func (r *Registry) Hist(name string) *StripedHist {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q bounds not ascending: %v", name, bounds))
-		}
-	}
-	h := &Histogram{
-		name:   name,
-		bounds: append([]uint64(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
+	h := &StripedHist{stripes: make([]*Hist, r.stripes), mask: uint32(r.stripes - 1)}
+	for i := range h.stripes {
+		h.stripes[i] = &Hist{}
 	}
 	r.hists[name] = h
 	return h
 }
 
-// Reset zeroes every registered metric, keeping the handles valid — the
-// registry analogue of pcmdev.Device.ResetStats. Not a consistent cut
-// against concurrent updaters: an in-flight Observe may land partly before
-// and partly after the zeroing.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
-	}
-	for _, h := range r.hists {
-		for i := range h.counts {
-			h.counts[i].Store(0)
-		}
-		h.n.Store(0)
-		h.sum.Store(0)
-	}
-}
-
-// HistValues is the detached snapshot of one histogram: bucket bounds and
-// counts plus the running count and sum, so consumers (the regression
-// ledger in internal/regress) can derive means without the live handle.
-type HistValues struct {
-	// Bounds holds the bucket upper bounds; Counts has one extra final
-	// element counting observations above the last bound.
-	Bounds []uint64 `json:"bounds,omitempty"`
-	Counts []uint64 `json:"counts"`
-	N      uint64   `json:"n"`
-	Sum    uint64   `json:"sum"`
-}
-
-// Mean returns the mean observation (0 when empty).
-func (h HistValues) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.N)
-}
-
-// Quantile estimates the q-quantile (q in [0,1], clamped) from the bucket
-// counts. The target rank ceil(q*N) is located by cumulative count and
-// interpolated linearly across its bucket's (lower, upper] bound range —
-// the Prometheus histogram_quantile convention, so a lone observation in a
-// bucket reports the bucket's upper bound. The overflow bucket has no
-// upper bound, so ranks landing there report the last explicit bound (the
-// honest floor on the true value). Returns 0 on an empty histogram.
-func (h HistValues) Quantile(q float64) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(h.N)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		if cum < rank {
-			continue
-		}
-		var lo float64
-		if i > 0 && i-1 < len(h.Bounds) {
-			lo = float64(h.Bounds[i-1])
-		}
-		if i >= len(h.Bounds) {
-			return lo // overflow bucket: unbounded above
-		}
-		hi := float64(h.Bounds[i])
-		pos := float64(rank - (cum - c))
-		return lo + (hi-lo)*pos/float64(c)
-	}
-	return 0
-}
-
-// Snapshot is a point-in-time copy of a registry's values, detached from
-// the live metrics.
-type Snapshot struct {
-	Counters map[string]uint64  `json:"counters,omitempty"`
-	Gauges   map[string]float64 `json:"gauges,omitempty"`
-	// Hists maps histogram name to its detached bucket/summary values.
-	Hists map[string]HistValues `json:"hists,omitempty"`
-}
-
-// Snapshot copies the current values out of the registry. Safe
-// concurrently with updates; values updated mid-snapshot land in one
-// snapshot or the next, never nowhere.
+// Snapshot merges every metric across its stripes: counters as sums,
+// gauges as their last value, histograms as exact bucket-wise merges
+// summarized to the fixed quantile set. Safe concurrently with recording;
+// exact once writers quiesce.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Snapshot{
 		Counters: make(map[string]uint64, len(r.counters)),
 		Gauges:   make(map[string]float64, len(r.gauges)),
-		Hists:    make(map[string]HistValues, len(r.hists)),
+		Lat:      make(map[string]Quantiles, len(r.hists)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
@@ -312,87 +193,52 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
-		s.Hists[name] = HistValues{
-			Bounds: h.Bounds(),
-			Counts: h.Counts(),
-			N:      h.N(),
-			Sum:    h.Sum(),
-		}
+		s.Lat[name] = h.Snapshot().Summarize()
 	}
 	return s
 }
 
-// Delta returns this snapshot minus prev: counters and histogram buckets
-// subtract (a name missing from prev counts from zero), gauges keep their
-// current value. Snapshot-then-Delta replaces the reset-then-read pattern
-// whose asymmetry loses counts when something else resets the source.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{
-		Counters: make(map[string]uint64, len(s.Counters)),
-		Gauges:   make(map[string]float64, len(s.Gauges)),
-		Hists:    make(map[string]HistValues, len(s.Hists)),
-	}
-	for name, v := range s.Counters {
-		d.Counters[name] = v - prev.Counters[name]
-	}
-	for name, v := range s.Gauges {
-		d.Gauges[name] = v
-	}
-	for name, h := range s.Hists {
-		ph := prev.Hists[name]
-		out := HistValues{
-			Bounds: append([]uint64(nil), h.Bounds...),
-			Counts: make([]uint64, len(h.Counts)),
-			N:      h.N - ph.N,
-			Sum:    h.Sum - ph.Sum,
-		}
-		for i, c := range h.Counts {
-			if i < len(ph.Counts) {
-				c -= ph.Counts[i]
-			}
-			out.Counts[i] = c
-		}
-		d.Hists[name] = out
-	}
-	return d
+// Snapshot is a point-in-time merged view of a Registry: striped counters
+// summed, gauges' last values, histograms reduced to the fixed quantile
+// set. It is the JSON behind the cmds' -metrics flag (which
+// internal/regress ingests), the /debug/vars rendering, and the JSONL
+// record schema the Streamer emits (with TMs stamped), pinned by a golden
+// test.
+type Snapshot struct {
+	// TMs is milliseconds since the stream's start; 0 on direct snapshots.
+	TMs int64 `json:"t_ms"`
+	// Counters holds each striped counter's merged total.
+	Counters map[string]uint64 `json:"counters,omitempty"`
+	// Gauges holds each gauge's last value.
+	Gauges map[string]float64 `json:"gauges,omitempty"`
+	// Lat holds each histogram's quantile summary.
+	Lat map[string]Quantiles `json:"lat,omitempty"`
 }
 
-// WriteTo renders the snapshot as sorted "name value" lines.
-func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
-	var b strings.Builder
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s %d\n", name, s.Counters[name])
-	}
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s %g\n", name, s.Gauges[name])
-	}
-	names = names[:0]
-	for name := range s.Hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s %v\n", name, s.Hists[name].Counts)
-	}
-	n, err := io.WriteString(w, b.String())
-	return int64(n), err
-}
-
-// String renders the snapshot as sorted "name value" lines.
+// String renders the snapshot as sorted "name value" lines, with
+// histograms as one-line quantile summaries.
 func (s Snapshot) String() string {
-	var b strings.Builder
-	s.WriteTo(&b)
-	return b.String()
+	var b []byte
+	for _, n := range sortedKeys(s.Counters) {
+		b = fmt.Appendf(b, "%s %d\n", n, s.Counters[n])
+	}
+	for _, n := range sortedKeys(s.Gauges) {
+		b = fmt.Appendf(b, "%s %g\n", n, s.Gauges[n])
+	}
+	for _, n := range sortedKeys(s.Lat) {
+		q := s.Lat[n]
+		b = fmt.Appendf(b, "%s n=%d p50=%.0fns p99=%.0fns max=%dns\n", n, q.N, q.P50Ns, q.P99Ns, q.MaxNs)
+	}
+	return string(b)
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // WriteJSONFile writes the snapshot as indented JSON to path, creating
@@ -410,77 +256,4 @@ func (s Snapshot) WriteJSONFile(path string) error {
 		}
 	}
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
-var expvarOnce sync.Mutex
-
-// Expvar publishes the registry under the given expvar name, so a debug
-// HTTP endpoint (see ServeDebug) exposes a live snapshot at /debug/vars.
-// Republishing an existing name rebinds it to this registry.
-func (r *Registry) Expvar(name string) {
-	expvarOnce.Lock()
-	defer expvarOnce.Unlock()
-	if v := expvar.Get(name); v != nil {
-		if f, ok := v.(*registryVar); ok {
-			f.mu.Lock()
-			f.r = r
-			f.mu.Unlock()
-			return
-		}
-		panic(fmt.Sprintf("obs: expvar name %q already taken by a non-registry var", name))
-	}
-	expvar.Publish(name, &registryVar{r: r})
-}
-
-// registryVar adapts a Registry to expvar.Var: counters and gauges render
-// verbatim, histograms as {n, mean, p50, p99} quantile summaries, so a
-// /debug/vars scrape shows live percentiles without touching the hot path.
-type registryVar struct {
-	mu sync.Mutex
-	r  *Registry
-}
-
-func (v *registryVar) String() string {
-	v.mu.Lock()
-	r := v.r
-	v.mu.Unlock()
-	snap := r.Snapshot()
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	writePair := func(name, val string) {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
-		fmt.Fprintf(&b, "%q: %s", name, val)
-	}
-	names := make([]string, 0, len(snap.Counters))
-	for name := range snap.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		writePair(name, fmt.Sprintf("%d", snap.Counters[name]))
-	}
-	names = names[:0]
-	for name := range snap.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		writePair(name, fmt.Sprintf("%g", snap.Gauges[name]))
-	}
-	names = names[:0]
-	for name := range snap.Hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := snap.Hists[name]
-		writePair(name, fmt.Sprintf(`{"n": %d, "mean": %g, "p50": %g, "p99": %g}`,
-			h.N, h.Mean(), h.Quantile(0.50), h.Quantile(0.99)))
-	}
-	b.WriteByte('}')
-	return b.String()
 }

@@ -1,18 +1,21 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"expvar"
+	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRegistryCounterGaugeHistogram(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(1)
 	c := r.Counter("writes")
-	c.Inc()
-	c.Add(4)
+	c.Inc(0)
+	c.Add(0, 4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
@@ -21,205 +24,201 @@ func TestRegistryCounterGaugeHistogram(t *testing.T) {
 	}
 
 	g := r.Gauge("epoch")
+	g.Set(5)
 	g.Set(3)
 	if got := g.Value(); got != 3 {
-		t.Fatalf("gauge = %v, want 3", got)
+		t.Fatalf("gauge = %v, want the last value 3", got)
+	}
+	if r.Gauge("epoch") != g {
+		t.Fatal("Gauge not idempotent for the same name")
 	}
 
-	h := r.Histogram("slots", []uint64{1, 2, 4})
-	for _, v := range []uint64{0, 1, 2, 3, 4, 5, 100} {
-		h.Observe(v)
+	h := r.Hist("slots")
+	if r.Hist("slots") != h {
+		t.Fatal("Hist not idempotent for the same name")
 	}
-	// buckets: <=1: {0,1}, <=2: {2}, <=4: {3,4}, >4: {5,100}
-	want := []uint64{2, 1, 2, 2}
-	got := h.Counts()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("histogram counts = %v, want %v", got, want)
+	for _, v := range []uint64{0, 1, 2, 3, 4, 5, 100} {
+		h.Stripe(0).Observe(v)
+	}
+	s := h.Snapshot()
+	if s.N != 7 || s.Sum != 115 || s.Max != 100 {
+		t.Fatalf("hist n=%d sum=%d max=%d, want 7, 115, 100", s.N, s.Sum, s.Max)
+	}
+	// Values below subCount land in exact unit buckets.
+	for v := 0; v <= 5; v++ {
+		if s.Counts[v] != 1 {
+			t.Fatalf("bucket %d holds %d, want 1", v, s.Counts[v])
 		}
 	}
-	if h.N() != 7 || h.Sum() != 115 {
-		t.Fatalf("histogram n=%d sum=%d, want 7, 115", h.N(), h.Sum())
+	if got := s.Counts[bucketIndex(100)]; got != 1 {
+		t.Fatalf("bucket of 100 holds %d, want 1", got)
 	}
 }
 
-func TestSnapshotDeltaReset(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("flips")
-	h := r.Histogram("slots", []uint64{2})
-	c.Add(10)
-	h.Observe(1)
-	prev := r.Snapshot()
-
-	c.Add(7)
-	h.Observe(1)
-	h.Observe(5)
-	d := r.Snapshot().Delta(prev)
-	if d.Counters["flips"] != 7 {
-		t.Fatalf("delta counter = %d, want 7", d.Counters["flips"])
+// Striped handles merge at read time: adds on any stripe (stripe indices
+// wrap modulo the stripe count) sum into one value, and per-stripe
+// histograms merge into one snapshot.
+func TestStripedCounterGaugeMerge(t *testing.T) {
+	r := NewRegistry(4)
+	c := r.Counter("ops")
+	for stripe := 0; stripe < 8; stripe++ { // wraps around the 4 stripes
+		c.Add(stripe, uint64(stripe))
 	}
-	if got := d.Hists["slots"]; got.Counts[0] != 1 || got.Counts[1] != 1 {
-		t.Fatalf("delta hist = %v, want [1 1]", got.Counts)
-	}
-	if got := d.Hists["slots"]; got.N != 2 || got.Sum != 6 {
-		t.Fatalf("delta hist n=%d sum=%d, want 2/6", got.N, got.Sum)
+	if got := c.Value(); got != 28 {
+		t.Fatalf("counter merge = %d, want 28", got)
 	}
 
-	// Delta against an empty snapshot counts from zero.
-	d0 := r.Snapshot().Delta(Snapshot{})
-	if d0.Counters["flips"] != 17 {
-		t.Fatalf("delta vs empty = %d, want 17", d0.Counters["flips"])
+	// The gauge is one last-value cell, not striped: whichever worker
+	// set it last wins.
+	g := r.Gauge("epoch")
+	g.Set(5)
+	g.Set(3)
+	if got := g.Value(); got != 3 {
+		t.Fatalf("gauge = %v, want the last value 3", got)
 	}
 
-	r.Reset()
-	if c.Value() != 0 || h.N() != 0 {
-		t.Fatalf("Reset left counter=%d histN=%d", c.Value(), h.N())
+	h := r.Hist("lat")
+	h.Stripe(0).Observe(10)
+	h.Stripe(1).Observe(30)
+	h.Stripe(6).Observe(20) // wraps onto stripe 2
+	if h.Stripe(6) != h.Stripe(2) {
+		t.Fatal("Stripe(6) did not wrap onto stripe 2 of 4")
 	}
-	// Handles stay live after Reset.
-	c.Inc()
-	if r.Counter("flips").Value() != 1 {
-		t.Fatal("handle dead after Reset")
+	s := h.Snapshot()
+	if s.N != 3 || s.Sum != 60 || s.Max != 30 {
+		t.Fatalf("hist merge n=%d sum=%d max=%d", s.N, s.Sum, s.Max)
+	}
+}
+
+func TestRegistryStripeRounding(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{{0, 1}, {1, 1}, {3, 4}, {8, 8}, {9, 16}} {
+		if got := NewRegistry(tc.in).stripes; got != tc.want {
+			t.Errorf("NewRegistry(%d) has %d stripes, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
+func TestMetricsSnapshot(t *testing.T) {
+	r := NewRegistry(2)
+	r.Counter("reads").Add(0, 7)
+	r.Gauge("inflight").Set(2)
+	r.Hist("lat").Stripe(1).Observe(100)
+	s := r.Snapshot()
+	if s.Counters["reads"] != 7 || s.Gauges["inflight"] != 2 {
+		t.Fatalf("snapshot = %+v", s)
+	}
+	q := s.Lat["lat"]
+	if q.N != 1 || q.MaxNs != 100 || q.P50Ns != 100 || q.MeanNs != 100 {
+		t.Fatalf("snapshot quantiles = %+v", q)
+	}
+	if _, ok := s.Lat["nope"]; ok {
+		t.Fatal("snapshot invented a histogram")
+	}
+	// A snapshot is detached: later records do not show up in it.
+	r.Counter("reads").Add(1, 1)
+	if s.Counters["reads"] != 7 {
+		t.Fatalf("snapshot counter moved to %d after a later add", s.Counters["reads"])
 	}
 }
 
 func TestSnapshotString(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b").Add(2)
-	r.Counter("a").Add(1)
+	r := NewRegistry(2)
+	r.Counter("b").Add(0, 2)
+	r.Counter("a").Add(1, 1)
 	r.Gauge("g").Set(0.5)
+	r.Hist("lat").Stripe(0).Observe(100)
 	s := r.Snapshot().String()
 	ai, bi := strings.Index(s, "a 1"), strings.Index(s, "b 2")
 	if ai < 0 || bi < 0 || ai > bi {
 		t.Fatalf("snapshot rendering unsorted or missing entries:\n%s", s)
 	}
-	if !strings.Contains(s, "g 0.5") {
-		t.Fatalf("gauge missing from rendering:\n%s", s)
+	for _, want := range []string{"g 0.5", "lat n=1"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("String() missing %q:\n%s", want, s)
+		}
 	}
 }
 
 func TestExpvarPublish(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("writes").Add(3)
+	r := NewRegistry(1)
+	r.Counter("writes").Add(0, 3)
 	r.Expvar("test_registry")
 	// Republishing with a new registry must rebind, not panic.
-	r2 := NewRegistry()
-	r2.Counter("writes").Add(9)
+	r2 := NewRegistry(1)
+	r2.Counter("writes").Add(0, 9)
 	r2.Expvar("test_registry")
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []uint64{10, 20, 40})
-
-	// Empty histogram: every quantile is 0.
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty Quantile(0.5) = %g, want 0", got)
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(expvar.Get("test_registry").String()), &snap); err != nil {
+		t.Fatal(err)
 	}
-
-	// One sample in (10,20]: the lone-observation convention reports the
-	// bucket's upper bound for every q.
-	h.Observe(15)
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := h.Quantile(q); got != 20 {
-			t.Errorf("one-sample Quantile(%g) = %g, want 20", q, got)
-		}
-	}
-
-	// A spread across buckets interpolates inside the located bucket.
-	r.Reset()
-	for v := uint64(1); v <= 10; v++ {
-		h.Observe(v) // 10 samples in [0,10]
-	}
-	for v := uint64(11); v <= 20; v++ {
-		h.Observe(v) // 10 samples in (10,20]
-	}
-	if got := h.Quantile(0.5); got != 10 {
-		t.Errorf("Quantile(0.5) = %g, want 10 (rank 10 of 20 tops bucket 0)", got)
-	}
-	if got := h.Quantile(0.75); got != 15 {
-		t.Errorf("Quantile(0.75) = %g, want 15 (rank 15: position 5 of 10 across (10,20])", got)
-	}
-
-	// Overflow bucket: ranks beyond the last bound report that bound —
-	// the honest floor, since the bucket is unbounded above.
-	r.Reset()
-	h.Observe(1000)
-	h.Observe(2000)
-	if got := h.Quantile(0.99); got != 40 {
-		t.Errorf("overflow Quantile(0.99) = %g, want 40 (last explicit bound)", got)
-	}
-
-	// Out-of-range q clamps instead of misbehaving.
-	if got, want := h.Quantile(-0.5), h.Quantile(0); got != want {
-		t.Errorf("Quantile(-0.5) = %g, want %g", got, want)
-	}
-	if got, want := h.Quantile(1.5), h.Quantile(1); got != want {
-		t.Errorf("Quantile(1.5) = %g, want %g", got, want)
+	if snap.Counters["writes"] != 9 {
+		t.Fatalf("rebound expvar writes = %d, want 9", snap.Counters["writes"])
 	}
 }
 
 // The expvar rendering must expose live histogram quantiles: ServeDebug's
 // /debug/vars is how a running serving harness is inspected.
 func TestExpvarIncludesQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("req_lat", []uint64{100, 200, 400})
+	r := NewRegistry(2)
+	h := r.Hist("req_lat")
 	for v := uint64(1); v <= 100; v++ {
-		h.Observe(v)
+		h.Stripe(int(v)).Observe(v)
 	}
-	h.Observe(350)
+	h.Stripe(0).Observe(350)
 	r.Expvar("test_registry_quantiles")
 	v := expvar.Get("test_registry_quantiles")
 	if v == nil {
 		t.Fatal("registry not published")
 	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(v.String()), &doc); err != nil {
-		t.Fatalf("expvar output is not JSON: %v\n%s", err, v.String())
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
+		t.Fatalf("expvar output is not Snapshot JSON: %v\n%s", err, v.String())
 	}
-	var hist struct {
-		N    uint64  `json:"n"`
-		Mean float64 `json:"mean"`
-		P50  float64 `json:"p50"`
-		P99  float64 `json:"p99"`
+	q, ok := snap.Lat["req_lat"]
+	if !ok {
+		t.Fatalf("expvar output lacks the histogram:\n%s", v.String())
 	}
-	if err := json.Unmarshal(doc["req_lat"], &hist); err != nil {
-		t.Fatalf("histogram entry is not a quantile summary: %v\n%s", err, doc["req_lat"])
+	if q.N != 101 || q.MaxNs != 350 {
+		t.Errorf("expvar n=%d max=%d, want 101, 350", q.N, q.MaxNs)
 	}
-	if hist.N != 101 {
-		t.Errorf("expvar n = %d, want 101", hist.N)
-	}
-	if hist.P50 <= 0 || hist.P50 > 100 {
-		t.Errorf("expvar p50 = %g, want in (0,100]", hist.P50)
-	}
-	if hist.P99 != 100 {
-		t.Errorf("expvar p99 = %g, want 100 (rank 100 of 101 tops the first bucket)", hist.P99)
+	// rank 51 of 101 is the value 51; rank 100 is the value 100.
+	for _, tc := range []struct {
+		name      string
+		got, want float64
+	}{{"p50", q.P50Ns, 51}, {"p99", q.P99Ns, 100}} {
+		if math.Abs(tc.got-tc.want) > tc.want*0.04 {
+			t.Errorf("expvar %s = %g, want %g ± 4%%", tc.name, tc.got, tc.want)
+		}
 	}
 }
 
-// The acceptance bar for the registry's concurrency retrofit: 64
-// goroutines hammering one registry's counters, gauges and histograms
-// (run under -race in make race-timing) must lose no updates.
+// The acceptance bar: 64 goroutines recording through one registry's
+// counters, gauges and histograms (run under -race in make race-timing)
+// must be race-free and lose nothing — every add and observation shows
+// up in the merged snapshot.
 func TestRegistryConcurrentHammer(t *testing.T) {
 	const goroutines = 64
-	const perG = 1000
-	r := NewRegistry()
+	const perG = 2000
+	r := NewRegistry(goroutines)
 	c := r.Counter("ops")
-	g := r.Gauge("epoch")
-	h := r.Histogram("lat", []uint64{8, 64, 512})
+	g := r.Gauge("last")
+	h := r.Hist("lat")
 	var wg sync.WaitGroup
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
-		go func(id int) {
+		go func(stripe int) {
 			defer wg.Done()
 			// Half the goroutines register concurrently too: handle
 			// creation must be safe alongside updates and snapshots.
-			if id%2 == 0 {
-				r.Counter("ops").Add(0)
+			if stripe%2 == 0 {
+				r.Counter("ops").Add(stripe, 0)
+				r.Hist("lat").Stripe(stripe)
 			}
+			hist := h.Stripe(stripe)
 			for i := 0; i < perG; i++ {
-				c.Inc()
-				g.Set(float64(id))
-				h.Observe(uint64(i))
+				c.Inc(stripe)
+				g.Set(float64(stripe))
+				hist.Observe(uint64(stripe*perG + i))
 			}
 		}(w)
 	}
@@ -227,14 +226,22 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 		_ = r.Snapshot() // concurrent snapshots must be safe
 	}
 	wg.Wait()
-	if got := c.Value(); got != goroutines*perG {
+	s := r.Snapshot()
+	if got := s.Counters["ops"]; got != goroutines*perG {
 		t.Fatalf("counter lost updates: %d, want %d", got, goroutines*perG)
 	}
-	if got := h.N(); got != goroutines*perG {
-		t.Fatalf("histogram lost observations: %d, want %d", got, goroutines*perG)
+	if got := s.Gauges["last"]; got < 0 || got >= goroutines || got != float64(int(got)) {
+		t.Fatalf("gauge holds %v, not one goroutine's last value", got)
+	}
+	q := s.Lat["lat"]
+	if q.N != goroutines*perG {
+		t.Fatalf("hist lost observations: %d, want %d", q.N, goroutines*perG)
+	}
+	if q.MaxNs != goroutines*perG-1 {
+		t.Fatalf("hist max = %d, want %d", q.MaxNs, goroutines*perG-1)
 	}
 	var total uint64
-	for _, n := range h.Counts() {
+	for _, n := range h.Snapshot().Counts {
 		total += n
 	}
 	if total != goroutines*perG {
@@ -242,17 +249,89 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 	}
 }
 
-// Hot-path operations must not allocate: schemes call these per write.
+// Snapshots read while 64 goroutines record — directly and through a
+// Streamer ticking every millisecond — must be monotone in every count,
+// and the Streamer's final line must carry the exact totals.
+func TestMetricsConcurrentHammer(t *testing.T) {
+	const goroutines = 64
+	const perG = 2000
+	r := NewRegistry(goroutines)
+	c := r.Counter("ops")
+	h := r.Hist("lat")
+	var buf bytes.Buffer
+	st := NewStreamer(r, &buf, time.Millisecond)
+	st.Start()
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(stripe int) {
+			defer wg.Done()
+			hist := h.Stripe(stripe)
+			for i := 0; i < perG; i++ {
+				c.Inc(stripe)
+				hist.Observe(uint64(i))
+			}
+		}(w)
+	}
+	var prevOps, prevN uint64
+	for i := 0; i < 50; i++ {
+		s := r.Snapshot()
+		ops, n := s.Counters["ops"], s.Lat["lat"].N
+		if ops < prevOps || n < prevN {
+			t.Fatalf("snapshot went backwards: ops %d -> %d, n %d -> %d", prevOps, ops, prevN, n)
+		}
+		prevOps, prevN = ops, n
+	}
+	wg.Wait()
+	if err := st.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	prevOps, prevN = 0, 0
+	for i, line := range lines {
+		var rec Snapshot
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		ops, n := rec.Counters["ops"], rec.Lat["lat"].N
+		if ops < prevOps || n < prevN {
+			t.Fatalf("line %d went backwards: ops %d -> %d, n %d -> %d", i, prevOps, ops, prevN, n)
+		}
+		prevOps, prevN = ops, n
+	}
+	if prevOps != goroutines*perG || prevN != goroutines*perG {
+		t.Fatalf("final streamed line ops=%d n=%d, want %d each", prevOps, prevN, goroutines*perG)
+	}
+}
+
+// The record path must stay allocation-free: schemes record per write
+// through a one-stripe registry's resolved handles.
 func TestHotPathAllocs(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(1)
 	c := r.Counter("flips")
 	g := r.Gauge("epoch")
-	h := r.Histogram("slots", []uint64{1, 2, 3})
-	if n := testing.AllocsPerRun(200, func() {
-		c.Add(3)
+	h := r.Hist("slots").Stripe(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Add(0, 3)
 		g.Set(1)
 		h.Observe(2)
 	}); n != 0 {
 		t.Fatalf("metric updates allocate %.2f times per run, want 0", n)
+	}
+}
+
+// The striped record path must stay allocation-free too, including
+// resolving a stripe's histogram per call as serving clients do.
+func TestStripedRecordZeroAlloc(t *testing.T) {
+	r := NewRegistry(8)
+	c := r.Counter("ops")
+	h := r.Hist("lat")
+	stripe := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		stripe = (stripe + 1) % 8
+		c.Inc(stripe)
+		h.Stripe(stripe).Observe(512)
+	}); n != 0 {
+		t.Fatalf("striped record path allocates %.2f times per run, want 0", n)
 	}
 }

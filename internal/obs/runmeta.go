@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"time"
 )
 
@@ -78,4 +79,58 @@ func (m *RunMeta) WriteFile(path string) error {
 		}
 	}
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
+}
+
+// BenchHeader is the identity and host header every BENCH_*.json record
+// starts with. Writers embed it, so the record's JSON stays flat and every
+// record states the cores and GOMAXPROCS its numbers were measured on.
+type BenchHeader struct {
+	// Benchmark names the measurement ("BenchmarkServe", ...).
+	Benchmark string `json:"benchmark"`
+	// Description says what was measured and how to regenerate it.
+	Description string `json:"description"`
+	// Date is the run date (YYYY-MM-DD).
+	Date string `json:"date"`
+	// Goos is runtime.GOOS at measurement time.
+	Goos string `json:"goos"`
+	// Goarch is runtime.GOARCH at measurement time.
+	Goarch string `json:"goarch"`
+	// CPU is the host CPU model, best effort ("" when unknown).
+	CPU string `json:"cpu"`
+	// Go is the toolchain version.
+	Go string `json:"go"`
+	// Cores is runtime.NumCPU.
+	Cores int `json:"cores"`
+	// GOMAXPROCS is runtime.GOMAXPROCS(0) at measurement time.
+	GOMAXPROCS int `json:"gomaxprocs"`
+}
+
+// NewBenchHeader stamps a header for the named benchmark with today's date
+// and the host's facts.
+func NewBenchHeader(benchmark, description string) BenchHeader {
+	return BenchHeader{
+		Benchmark:   benchmark,
+		Description: description,
+		Date:        time.Now().Format("2006-01-02"),
+		Goos:        runtime.GOOS,
+		Goarch:      runtime.GOARCH,
+		CPU:         cpuModel(),
+		Go:          runtime.Version(),
+		Cores:       runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+	}
+}
+
+// cpuModel best-effort reads the CPU model name from /proc/cpuinfo.
+func cpuModel() string {
+	blob, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(blob), "\n") {
+		if name, ok := strings.CutPrefix(line, "model name"); ok {
+			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
+		}
+	}
+	return ""
 }

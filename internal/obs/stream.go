@@ -1,4 +1,4 @@
-package serve
+package obs
 
 import (
 	"encoding/json"
@@ -9,16 +9,16 @@ import (
 	"time"
 )
 
-// Streamer periodically snapshots a Metrics set and appends each snapshot
-// as one JSON line to a writer — a time series of the serving run that
+// Streamer periodically snapshots a Registry and appends each snapshot
+// as one JSON line to a writer — a time series of a serving run that
 // scripts (or a dashboard) can tail. Records carry cumulative values, not
 // deltas, so a truncated stream still ends on totals; the schema is the
-// serve.Snapshot JSON shape, pinned by a golden test.
+// Snapshot JSON shape, pinned by a golden test.
 //
 // Snapshotting runs on the streamer's own goroutine: the recording hot
 // path is never involved, so streaming costs the workers nothing.
 type Streamer struct {
-	m        *Metrics
+	r        *Registry
 	w        io.Writer
 	interval time.Duration
 
@@ -35,11 +35,11 @@ type Streamer struct {
 // NewStreamer creates a streamer emitting one snapshot per interval to w.
 // Call Start to begin and Stop to emit the final record and wait for the
 // goroutine to exit.
-func NewStreamer(m *Metrics, w io.Writer, interval time.Duration) *Streamer {
+func NewStreamer(r *Registry, w io.Writer, interval time.Duration) *Streamer {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	return &Streamer{m: m, w: w, interval: interval}
+	return &Streamer{r: r, w: w, interval: interval}
 }
 
 // Start launches the periodic emitter.
@@ -71,7 +71,7 @@ func (s *Streamer) Emit() {
 	if s.err != nil {
 		return
 	}
-	snap := s.m.Snapshot()
+	snap := s.r.Snapshot()
 	snap.TMs = s.sinceMs()
 	blob, err := json.Marshal(snap)
 	if err != nil {
@@ -79,7 +79,7 @@ func (s *Streamer) Emit() {
 		return
 	}
 	if _, err := s.w.Write(append(blob, '\n')); err != nil {
-		s.err = fmt.Errorf("serve: stream write: %w", err)
+		s.err = fmt.Errorf("obs: stream write: %w", err)
 	}
 }
 
@@ -111,38 +111,39 @@ func (s *Streamer) Stop() error {
 // expvarMu serializes publish/rebind against expvar's global namespace.
 var expvarMu sync.Mutex
 
-// Expvar publishes the metrics set under the given expvar name: each
-// /debug/vars scrape renders a fresh merged snapshot (counters, gauges,
-// and p50/p99-style latency quantiles) as JSON. Republishing an existing
-// name rebinds it to this metrics set — a harness running one scheme
-// after another can reuse a stable name.
-func (m *Metrics) Expvar(name string) {
+// Expvar publishes the registry under the given expvar name, so a debug
+// HTTP endpoint (see ServeDebug) exposes a live snapshot at /debug/vars:
+// each scrape renders a fresh merged snapshot (counters, gauges, and
+// p50/p99-style quantiles) as JSON. Republishing an existing name rebinds
+// it to this registry — a harness running one scheme after another can
+// reuse a stable name.
+func (r *Registry) Expvar(name string) {
 	expvarMu.Lock()
 	defer expvarMu.Unlock()
 	if v := expvar.Get(name); v != nil {
-		if mv, ok := v.(*metricsVar); ok {
-			mv.mu.Lock()
-			mv.m = m
-			mv.mu.Unlock()
+		if rv, ok := v.(*registryVar); ok {
+			rv.mu.Lock()
+			rv.r = r
+			rv.mu.Unlock()
 			return
 		}
-		panic(fmt.Sprintf("serve: expvar name %q already taken by a non-metrics var", name))
+		panic(fmt.Sprintf("obs: expvar name %q already taken by a non-registry var", name))
 	}
-	expvar.Publish(name, &metricsVar{m: m})
+	expvar.Publish(name, &registryVar{r: r})
 }
 
-// metricsVar adapts a Metrics set to expvar.Var with rebind support.
-type metricsVar struct {
+// registryVar adapts a Registry to expvar.Var with rebind support.
+type registryVar struct {
 	mu sync.Mutex
-	m  *Metrics
+	r  *Registry
 }
 
 // String renders the current merged snapshot as JSON for /debug/vars.
-func (v *metricsVar) String() string {
+func (v *registryVar) String() string {
 	v.mu.Lock()
-	m := v.m
+	r := v.r
 	v.mu.Unlock()
-	blob, err := json.Marshal(m.Snapshot())
+	blob, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		return "{}"
 	}

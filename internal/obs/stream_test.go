@@ -1,11 +1,10 @@
-package serve
+package obs
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
 	"expvar"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,41 +12,39 @@ import (
 	"time"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite golden files with current output")
-
 // The JSONL stream schema is a contract: internal/regress and external
 // scripts parse it, so its shape is pinned by a golden file. Run with
-// -update-golden after a deliberate schema change.
+// -update after a deliberate schema change.
 func TestStreamGoldenSchema(t *testing.T) {
-	m := NewMetrics(2)
-	ops := m.Counter("ops")
-	reads := m.Counter("reads")
-	inflight := m.Gauge("inflight")
-	lat := m.Hist("lat_op")
+	r := NewRegistry(2)
+	ops := r.Counter("ops")
+	reads := r.Counter("reads")
+	inflight := r.Gauge("inflight")
+	lat := r.Hist("lat_op")
 
 	var buf bytes.Buffer
-	s := NewStreamer(m, &buf, time.Second)
+	s := NewStreamer(r, &buf, time.Second)
 	var fakeNs int64
 	s.nowNs = func() int64 { return fakeNs }
 
 	ops.Add(0, 10)
 	reads.Add(1, 4)
-	inflight.Add(0, 2)
+	inflight.Set(2)
 	for v := uint64(100); v <= 1000; v += 100 {
-		lat.Observe(0, v)
+		lat.Stripe(0).Observe(v)
 	}
 	fakeNs = 1_000_000_000
 	s.Emit()
 
 	ops.Add(1, 5)
-	inflight.Add(1, -1)
-	lat.Observe(1, 2000)
+	inflight.Set(1)
+	lat.Stripe(1).Observe(2000)
 	fakeNs = 2_000_000_000
 	s.Emit()
 
 	got := buf.String()
 	golden := filepath.Join("testdata", "stream.golden.jsonl")
-	if *updateGolden {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +54,7 @@ func TestStreamGoldenSchema(t *testing.T) {
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create)", err)
+		t.Fatalf("%v (run with -update to create)", err)
 	}
 	if got != string(want) {
 		t.Errorf("stream schema drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -81,10 +78,10 @@ func TestStreamGoldenSchema(t *testing.T) {
 }
 
 func TestStreamerStartStop(t *testing.T) {
-	m := NewMetrics(1)
-	m.Counter("ops").Add(0, 3)
+	r := NewRegistry(1)
+	r.Counter("ops").Add(0, 3)
 	var buf bytes.Buffer
-	s := NewStreamer(m, &buf, time.Millisecond)
+	s := NewStreamer(r, &buf, time.Millisecond)
 	s.Start()
 	time.Sleep(10 * time.Millisecond)
 	if err := s.Stop(); err != nil {
@@ -109,11 +106,13 @@ func TestStreamerStartStop(t *testing.T) {
 	}
 }
 
+// Registry.Expvar is the one /debug/vars adapter: a published registry
+// renders its counters and its histograms' quantiles as Snapshot JSON.
 func TestMetricsExpvar(t *testing.T) {
-	m := NewMetrics(2)
-	m.Counter("ops").Add(0, 9)
-	m.Hist("lat_op").Observe(0, 500)
-	m.Expvar("test_serve_metrics")
+	r := NewRegistry(2)
+	r.Counter("ops").Add(0, 9)
+	r.Hist("lat_op").Stripe(0).Observe(500)
+	r.Expvar("test_serve_metrics")
 	v := expvar.Get("test_serve_metrics")
 	if v == nil {
 		t.Fatal("metrics not published")

@@ -263,10 +263,15 @@ func median(xs []float64) float64 {
 
 // IngestSnapshotJSON merges an obs.Snapshot JSON export (the cmds'
 // -metrics flag) into the run: counters and gauges verbatim, histograms
-// as :mean and :n derived metrics. Names are prefixed "metrics:".
+// as :mean and :n derived metrics. Names are prefixed "metrics:". A field
+// the snapshot schema does not know is an error, not silently dropped:
+// an export from an older schema (histograms under "hists") would
+// otherwise ingest without its histograms.
 func IngestSnapshotJSON(run *Run, r io.Reader) error {
 	var snap obs.Snapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&snap); err != nil {
 		return fmt.Errorf("regress: metrics snapshot: %w", err)
 	}
 	for name, v := range snap.Counters {
@@ -275,9 +280,9 @@ func IngestSnapshotJSON(run *Run, r io.Reader) error {
 	for name, v := range snap.Gauges {
 		run.Set("metrics:"+name, v)
 	}
-	for name, h := range snap.Hists {
-		run.Set("metrics:"+name+":mean", h.Mean())
-		run.Set("metrics:"+name+":n", float64(h.N))
+	for name, q := range snap.Lat {
+		run.Set("metrics:"+name+":mean", q.MeanNs)
+		run.Set("metrics:"+name+":n", float64(q.N))
 	}
 	return nil
 }

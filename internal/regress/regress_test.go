@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -156,7 +157,7 @@ func TestIngestSnapshotJSON(t *testing.T) {
 	blob := `{
 	  "counters": {"writebacks": 3000},
 	  "gauges": {"flip_frac": 0.096},
-	  "hists": {"write_slots": {"bounds": [0,1], "counts": [0, 2, 1], "n": 3, "sum": 4}}
+	  "lat": {"write_slots": {"n": 3, "mean_ns": 1.3333333333333333, "p50_ns": 1, "p90_ns": 2, "p99_ns": 2, "p999_ns": 2, "max_ns": 2}}
 	}`
 	run := Run{ID: "t"}
 	if err := IngestSnapshotJSON(&run, strings.NewReader(blob)); err != nil {
@@ -170,6 +171,22 @@ func TestIngestSnapshotJSON(t *testing.T) {
 	}
 	if run.Metrics["metrics:write_slots:n"] != 3 {
 		t.Errorf("hist n = %v, want 3", run.Metrics["metrics:write_slots:n"])
+	}
+}
+
+// A -metrics export from the older snapshot schema carries its histograms
+// under "hists"; ingesting it must fail naming that field rather than
+// record the counters and gauges and silently drop every histogram.
+func TestIngestSnapshotJSONRejectsUnknownSchema(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "metrics_hists_schema.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	run := Run{ID: "t"}
+	err = IngestSnapshotJSON(&run, f)
+	if err == nil || !strings.Contains(err.Error(), `"hists"`) {
+		t.Fatalf("IngestSnapshotJSON on a hists-schema export = %v, want an error naming \"hists\"", err)
 	}
 }
 

@@ -8,31 +8,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
+
+	"deuce/internal/obs"
 )
 
 // BenchDoc is the BENCH_serve.json document: the standard BENCH_* header
-// (benchmark/date/host fields, as in BENCH_writehot.json) plus the run
+// (obs.BenchHeader, embedded so the JSON stays flat) plus the run
 // configuration and one Result per measured scheme. `deucereport record
 // -serve` ingests it into the perf ledger as serve: metrics.
 type BenchDoc struct {
-	// Benchmark names the measurement (always "BenchmarkServe").
-	Benchmark string `json:"benchmark"`
-	// Description says what was measured and how to regenerate it.
-	Description string `json:"description"`
-	// Date is the run date (YYYY-MM-DD).
-	Date string `json:"date"`
-	// Goos is runtime.GOOS at measurement time.
-	Goos string `json:"goos"`
-	// Goarch is runtime.GOARCH at measurement time.
-	Goarch string `json:"goarch"`
-	// CPU is the host CPU model, best effort.
-	CPU string `json:"cpu"`
-	// Go is the toolchain version.
-	Go string `json:"go"`
-	// Cores is runtime.NumCPU.
-	Cores int `json:"cores"`
+	obs.BenchHeader
 	// Config is the workload shape every scheme ran under.
 	Config BenchConfig `json:"config"`
 	// Results holds one serving measurement per scheme.
@@ -87,17 +73,13 @@ func NewBenchDoc(cfg Config, results []Result, date string) BenchDoc {
 			shards = r.Shards
 		}
 	}
-	return BenchDoc{
-		Benchmark: "BenchmarkServe",
-		Description: fmt.Sprintf("Concurrent serving harness: %d clients, %d Zipfian(s=%g) mixed ops (%.0f%% reads) per scheme×front against a %d-line memory; schemes %s; fronts %s. Latency from lock-free striped histograms (~3%% bucket error, max exact). Regenerate with `make bench-serve`.",
+	hdr := obs.NewBenchHeader("BenchmarkServe",
+		fmt.Sprintf("Concurrent serving harness: %d clients, %d Zipfian(s=%g) mixed ops (%.0f%% reads) per scheme×front against a %d-line memory; schemes %s; fronts %s. Latency from lock-free striped histograms (~3%% bucket error, max exact). Regenerate with `make bench-serve`.",
 			cfg.Clients, cfg.Ops, cfg.ZipfS, cfg.ReadFraction*100, cfg.Lines,
-			strings.Join(schemes, ", "), strings.Join(fronts, ", ")),
-		Date:   date,
-		Goos:   runtime.GOOS,
-		Goarch: runtime.GOARCH,
-		CPU:    cpuModel(),
-		Go:     runtime.Version(),
-		Cores:  runtime.NumCPU(),
+			strings.Join(schemes, ", "), strings.Join(fronts, ", ")))
+	hdr.Date = date
+	return BenchDoc{
+		BenchHeader: hdr,
 		Config: BenchConfig{
 			Fronts:       fronts,
 			Shards:       shards,
@@ -121,18 +103,4 @@ func (d BenchDoc) WriteJSON(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
-// cpuModel best-effort reads the CPU model name for the record header.
-func cpuModel() string {
-	blob, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(blob), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
-		}
-	}
-	return ""
 }

@@ -1,10 +1,10 @@
 // Package servebench is the concurrent serving benchmark: N client
 // goroutines issue a Zipfian mixed read/write key-value workload against
-// a pluggable concurrency front end, with per-request latency telemetry
-// recorded through internal/obs/serve (striped counters, lock-free
-// log-bucketed latency histograms) and reduced to p50/p90/p99/p999 plus
-// throughput per scheme — the BENCH_serve.json record the regression
-// ledger ingests.
+// a pluggable concurrency front end, with per-request latency recorded
+// through the repo's one metrics registry, obs.Registry, sized to one
+// stripe per client (striped counters, lock-free log-bucketed latency
+// histograms) and reduced to p50/p90/p99/p999 plus throughput per scheme
+// — the BENCH_serve.json record the regression ledger ingests.
 //
 // Two front ends implement the Front interface. Coarse is the deliberate
 // baseline: one single-writer lock around one shared kvstore, every
@@ -26,7 +26,7 @@ import (
 
 	"deuce"
 	"deuce/internal/kvstore"
-	"deuce/internal/obs/serve"
+	"deuce/internal/obs"
 	"deuce/internal/servefront"
 
 	"math/rand"
@@ -161,11 +161,11 @@ type Result struct {
 	Mem MemStats `json:"mem"`
 	// Lat summarizes every request's latency (exact merge of the read
 	// and write histograms).
-	Lat serve.Quantiles `json:"lat"`
+	Lat obs.Quantiles `json:"lat"`
 	// ReadLat summarizes Get latencies.
-	ReadLat serve.Quantiles `json:"read_lat"`
+	ReadLat obs.Quantiles `json:"read_lat"`
 	// WriteLat summarizes Put latencies.
-	WriteLat serve.Quantiles `json:"write_lat"`
+	WriteLat obs.Quantiles `json:"write_lat"`
 }
 
 // Front is the concurrency front end under test. Implementations must be
@@ -244,7 +244,7 @@ func newFront(cfg Config) (Front, int, error) {
 // Run executes one serving benchmark: build the configured front end,
 // preload the keyspace, then fire Clients goroutines at it until Ops
 // requests complete, recording per-request latency into striped
-// histograms. When stream is non-nil, a serve.Streamer emits JSONL
+// histograms. When stream is non-nil, an obs.Streamer emits JSONL
 // snapshots every StreamInterval while the run is in flight.
 func Run(cfg Config, stream io.Writer) (Result, error) {
 	cfg.setDefaults()
@@ -268,22 +268,21 @@ func Run(cfg Config, stream io.Writer) (Result, error) {
 		vals[i] = fmt.Sprintf("v-%08d", i*i)
 	}
 
-	m := serve.NewMetrics(cfg.Clients)
+	m := obs.NewRegistry(cfg.Clients)
 	ops := m.Counter("ops")
 	reads := m.Counter("reads")
 	writes := m.Counter("writes")
 	misses := m.Counter("misses")
 	errs := m.Counter("errors")
-	inflight := m.Gauge("inflight")
 	latRead := m.Hist("lat_read")
 	latWrite := m.Hist("lat_write")
 	if cfg.ExpvarName != "" {
 		m.Expvar(cfg.ExpvarName)
 	}
 
-	var streamer *serve.Streamer
+	var streamer *obs.Streamer
 	if stream != nil {
-		streamer = serve.NewStreamer(m, stream, cfg.StreamInterval)
+		streamer = obs.NewStreamer(m, stream, cfg.StreamInterval)
 		streamer.Start()
 	}
 
@@ -308,7 +307,6 @@ func Run(cfg Config, stream io.Writer) (Result, error) {
 			for i := 0; i < n; i++ {
 				key := keys[zipf.Uint64()]
 				isRead := rng.Float64() < cfg.ReadFraction
-				inflight.Add(stripe, 1)
 				t0 := time.Now()
 				if isRead {
 					_, ok := front.Get(key, vbuf[:])
@@ -329,7 +327,6 @@ func Run(cfg Config, stream io.Writer) (Result, error) {
 					}
 				}
 				ops.Inc(stripe)
-				inflight.Add(stripe, -1)
 			}
 		}(w, n)
 	}
@@ -350,8 +347,8 @@ func Run(cfg Config, stream io.Writer) (Result, error) {
 	// Final summary from quiesced metrics: exact counts, and the overall
 	// latency distribution as the exact merge of the read and write
 	// histograms — the property the striped design guarantees.
-	readSnap, _ := m.HistSnapshot("lat_read")
-	writeSnap, _ := m.HistSnapshot("lat_write")
+	readSnap := latRead.Snapshot()
+	writeSnap := latWrite.Snapshot()
 	st := front.Stats()
 	res := Result{
 		Scheme:     string(cfg.Scheme),
