@@ -6,9 +6,9 @@
 //     fresh caches — the pre-reuse baseline, where every grid cell builds
 //     and warms its own scheme (grid- and table-level memoization only).
 //   - gate_warm_reuse: reuse enabled with fresh caches — warmup streams
-//     are synthesized once per (workload, geometry, seed) tuple and
-//     replayed per cell, cells shared across figures run once, and the
-//     planner fans the unique cells through the pool.
+//     and measured windows are synthesized once per (workload, geometry,
+//     seed) tuple and replayed per cell, cells shared across figures run
+//     once, and the planner fans the unique cells through the pool.
 //   - gate_incremental_recheck: a second `deucereport check -outdir`-style
 //     run against the recording the warm run just produced — every
 //     experiment's Inputs hash still matches, so zero experiments re-run.
@@ -68,10 +68,7 @@ func main() {
 			fatal("%s: %v", label, err)
 		}
 		elapsed := time.Since(start)
-		r := exp.Reuse()
-		fmt.Printf("%s: %v (%s; %d cells replayed a shared warm stream, %d cold warmups, cache %d hits / %d misses)\n",
-			label, elapsed.Round(time.Millisecond), report.Summary(),
-			r.WarmReplays, r.ColdWarmups, r.CacheHits, r.CacheMisses)
+		fmt.Printf("%s: %v (%s; %s)\n", label, elapsed.Round(time.Millisecond), report.Summary(), exp.Reuse())
 		return report, tables, elapsed
 	}
 
@@ -129,7 +126,7 @@ func main() {
 			{Scheme: "gate_warm_reuse", NsPerOp: warm.Nanoseconds()},
 			{Scheme: "gate_incremental_recheck", NsPerOp: increment.Nanoseconds()},
 		},
-		Notes: "ns_per_op is one full gate invocation; bytes/allocs are not collected for whole-gate runs. All three modes verdict identically (enforced by this tool before writing). The warm-reuse gain is bounded by Figure 14, which dominates gate wall clock and cannot share warm state (wear cells warm up behind a wrapped array); the incremental recheck is where the gate becomes effectively free — zero experiment re-runs when no input changed, with invalidation via the Inputs content hash (code-version salt + scale + canonical cell keys).",
+		Notes: "ns_per_op is one full gate invocation; bytes/allocs are not collected for whole-gate runs. All three modes verdict identically (enforced by this tool before writing). With reuse on, every cell replays shared streams instead of running a generator: one warm stream per (workload, topology, seed, warmup) and, for flip and Figure 14 wear cells, one measured stream recorded after it; the planner frees those flip-topology streams after their last cell. The incremental recheck is where the gate becomes effectively free — zero experiment re-runs when no input changed, with invalidation via the Inputs content hash (code-version salt + scale + canonical cell keys).",
 	}
 	blob, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {

@@ -234,7 +234,7 @@ func cmdCheck(args []string) error {
 		fmt.Printf("%s (%d recorded tables from %s, in %v)\n", report.Summary(), len(tables), *from, elapsed)
 	} else {
 		fmt.Printf("%s (%d experiments in %v)\n", report.Summary(), len(tables), elapsed)
-		fmt.Println(reuseLine())
+		fmt.Println(exp.Reuse())
 	}
 
 	if tracer != nil {
@@ -307,14 +307,6 @@ func cmdCheck(args []string) error {
 			len(report.Verdicts)+len(report.Missing))
 	}
 	return nil
-}
-
-// reuseLine renders warm-state reuse and experiment-cache effectiveness
-// for the run so far, one line for check/report output.
-func reuseLine() string {
-	r := exp.Reuse()
-	return fmt.Sprintf("reuse: %d cells replayed a shared warm stream, %d cold warmups; cache %d hits / %d misses",
-		r.WarmReplays, r.ColdWarmups, r.CacheHits, r.CacheMisses)
 }
 
 // cmdPlan renders the experiment planner's dry run: the deduplicated
@@ -679,7 +671,7 @@ func cmdReport(args []string) error {
 		elapsed := time.Since(start)
 		pass = report.Pass()
 		fmt.Printf("%s (in %v)\n", report.Summary(), elapsed.Round(time.Millisecond))
-		fmt.Println(reuseLine())
+		fmt.Println(exp.Reuse())
 		b.WriteString("## Fidelity matrix\n\n")
 		b.WriteString(reportHeader("", rc))
 		b.WriteString(report.Markdown())

@@ -22,9 +22,12 @@ import (
 //
 // Entries are single-flight: the first caller of a key computes, and
 // concurrent callers of the same key block on that computation instead of
-// duplicating it (sync.Once per entry). Results, including errors, are
-// cached forever — every cacheable computation here is deterministic in
-// its key, so recomputing cannot change the outcome.
+// duplicating it (sync.Once per entry). Results, including errors, stay
+// cached until Release drops the key or Reset drops every key — every
+// cacheable computation here is deterministic in its key, so recomputing
+// after a release cannot change the outcome. The planner releases each
+// shared stream once its last planned consumer has run; results are
+// never released.
 //
 // Cache-key rules (see DESIGN.md §8): a key encodes every input that can
 // change the result — the grid kind, the column schemes and their
@@ -84,6 +87,18 @@ func (c *GridCache) DoObserved(key string, compute func() (interface{}, error)) 
 		c.hits.Add(1)
 	}
 	return e.val, e.err, computed
+}
+
+// Release drops the entries for keys, so the next Do of any of them
+// computes afresh. A computation in flight on a released entry still
+// completes, and every caller already holding the entry gets its result;
+// only lookups after Release miss. Absent keys are ignored.
+func (c *GridCache) Release(keys ...string) {
+	c.mu.Lock()
+	for _, k := range keys {
+		delete(c.entries, k)
+	}
+	c.mu.Unlock()
 }
 
 // Stats reports cache hits and misses since construction (or Reset).

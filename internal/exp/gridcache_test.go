@@ -171,3 +171,72 @@ func TestRunTableCacheIsolation(t *testing.T) {
 		t.Fatalf("hooked config served from cache (runs = %d, want 2)", runs)
 	}
 }
+
+// TestGridCacheReleaseWhileInFlight: releasing a key whose computation is
+// in flight must not hand that computation's result to lookups made after
+// the release, nor take it from the caller already computing; and
+// concurrent Do and Release on one key must be race-free (run under
+// -race).
+func TestGridCacheReleaseWhileInFlight(t *testing.T) {
+	c := NewGridCache()
+	started, finish := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		v, err := c.Do("k", func() (interface{}, error) {
+			close(started)
+			<-finish
+			return 1, nil
+		})
+		if err != nil || v != 1 {
+			t.Errorf("in-flight caller got %v, %v; want 1", v, err)
+		}
+	}()
+	<-started
+	c.Release("k", "absent")
+	v, err := c.Do("k", func() (interface{}, error) { return 2, nil })
+	if err != nil || v != 2 {
+		t.Errorf("Do after Release got %v, %v; want a fresh computation (2)", v, err)
+	}
+	close(finish)
+	wg.Wait()
+
+	var computes atomic.Int64
+	stop := make(chan struct{})
+	var releaser sync.WaitGroup
+	releaser.Add(1)
+	go func() {
+		defer releaser.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.Release("h")
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				v, err := c.Do("h", func() (interface{}, error) {
+					computes.Add(1)
+					return 7, nil
+				})
+				if err != nil || v != 7 {
+					t.Errorf("Do under concurrent Release got %v, %v; want 7", v, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	releaser.Wait()
+	if computes.Load() < 1 {
+		t.Error("no computation ran")
+	}
+}

@@ -201,3 +201,41 @@ func BenchmarkTimedCell(b *testing.B) {
 		b.Fatalf("RunPerf executed %d times for b.N=%d: the benchmark timed a cache hit", ran, b.N)
 	}
 }
+
+// TestTimedEventStreamSchemeIndependent: the workload events a timed
+// cell's timing model pulls — kind, line, cpu, gap and data, in order —
+// are the same whichever scheme it times, with and without write pausing
+// and a counter cache. That is what would let timed cells replay one
+// recorded event stream the way flip cells replay their measured window.
+func TestTimedEventStreamSchemeIndependent(t *testing.T) {
+	prof, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { perfEventTap = nil })
+	for _, pause := range []bool{false, true} {
+		for _, ccb := range []int{0, 8} {
+			rc := RunConfig{Writebacks: 300, Lines: 64, Seed: 7, WritePausing: pause, CounterCacheBlocks: ccb}
+			rc.setDefaults()
+			budget := int(float64(rc.Writebacks) * (prof.MPKI + prof.WBPKI) / prof.WBPKI)
+			var streams [][]trace.Event
+			for _, kind := range []core.Kind{core.KindEncrDCW, core.KindDeuce} {
+				var events []trace.Event
+				perfEventTap = func(e trace.Event) {
+					e.Data = append([]byte(nil), e.Data...)
+					events = append(events, e)
+				}
+				if _, err := runPerfCell(prof, kind, core.Params{}, rc); err != nil {
+					t.Fatal(err)
+				}
+				if len(events) != budget {
+					t.Fatalf("pause=%t ccb=%d %s: timing model pulled %d events, budget is %d", pause, ccb, kind, len(events), budget)
+				}
+				streams = append(streams, events)
+			}
+			if !reflect.DeepEqual(streams[0], streams[1]) {
+				t.Errorf("pause=%t ccb=%d: Encr_DCW and DEUCE see different event streams", pause, ccb)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -76,8 +77,9 @@ func TestPlanDeduplicates(t *testing.T) {
 	}
 }
 
-// TestPlanFig14Shape: wear cells cannot replay a warm stream, so fig14
-// contributes no warm nodes, and its 12x(1+3) cells are all unique.
+// TestPlanFig14Shape: wear cells replay the shared streams of their
+// workload, so fig14 contributes one stream node per workload, and its
+// 12x(1+3) cells are all unique.
 func TestPlanFig14Shape(t *testing.T) {
 	plan, err := BuildPlan([]string{"fig14"}, RunConfig{Writebacks: 100, Lines: 512, Seed: 0})
 	if err != nil {
@@ -87,8 +89,41 @@ func TestPlanFig14Shape(t *testing.T) {
 	if st.Cells != 48 {
 		t.Errorf("fig14 expected 48 wear cells, got %d", st.Cells)
 	}
-	if st.WarmStreams != 0 {
-		t.Errorf("wear cells must not claim warm nodes, got %d streams", st.WarmStreams)
+	if st.WarmStreams != 12 {
+		t.Errorf("fig14 expected one stream node per workload (12), got %d", st.WarmStreams)
+	}
+}
+
+// TestPlanExecutionOrder: ExecuteCells runs the longest streams first and
+// each stream's cells back to back, which is what bounds how many streams
+// are live at once.
+func TestPlanExecutionOrder(t *testing.T) {
+	plan, err := BuildPlan([]string{"fig10", "fig14", "fig16"}, RunConfig{Writebacks: 300, Lines: 64, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := plan.executionOrder()
+	if len(order) != len(plan.cells) {
+		t.Fatalf("order covers %d of %d cells", len(order), len(plan.cells))
+	}
+	done := make(map[string]bool)
+	prev, prevWB := "", 0
+	for i, ci := range order {
+		c := plan.cells[ci]
+		if i > 0 && c.rc.Writebacks > prevWB {
+			t.Fatalf("cell %d (%s) has a longer window than the cell before it", i, c.label())
+		}
+		g := fmt.Sprintf("%s|%d", c.warmKey(), c.rc.Writebacks)
+		if g != prev {
+			if done[g] {
+				t.Fatalf("cell %d (%s) returns to a stream group already left", i, c.label())
+			}
+			done[prev] = true
+		}
+		prev, prevWB = g, c.rc.Writebacks
+	}
+	if first := plan.cells[order[0]]; first.mode != "wear" {
+		t.Errorf("first cell is %s, want a Figure 14 wear cell", first.label())
 	}
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"deuce/internal/obs"
@@ -23,22 +24,32 @@ func SetWarmReuse(enabled bool) { warmReuseOff.Store(!enabled) }
 // warmReuseEnabled reports whether the warm-state fast paths are active.
 func warmReuseEnabled() bool { return !warmReuseOff.Load() }
 
-// warmReplays counts grid cells that replayed a shared warm stream
-// instead of synthesizing their own warmup; coldWarmups counts warmup
-// syntheses actually executed (cold cells plus one per cached stream).
-var warmReplays, coldWarmups atomic.Int64
+// Reuse counters. warmReplays counts cells that replayed a shared warm
+// stream instead of synthesizing their own warmup, coldCells the cells
+// that warmed up for themselves; warmStreams and measuredStreams count
+// the shared streams actually synthesized.
+var warmReplays, coldCells, warmStreams, measuredStreams atomic.Int64
 
 // ReuseStats is a point-in-time snapshot of warm-state reuse and
 // experiment-cache effectiveness, for reporting (deucereport) and metrics.
 type ReuseStats struct {
 	// WarmReplays is the number of cells that replayed a shared warm
 	// stream into a fresh scheme instead of synthesizing their warmup.
+	// Flip and wear cells among them also replayed a measured stream.
 	WarmReplays int64
+	// ColdCells is the number of cells that synthesized their own warmup
+	// and measured window: reuse off, a trace hook or a durable backend.
+	ColdCells int64
+	// WarmStreams and MeasuredStreams are the shared warmups and measured
+	// windows synthesized. A stream released by the planner and needed
+	// again is synthesized again, and counts again.
+	WarmStreams     int64
+	MeasuredStreams int64
 	// ColdWarmups is the number of warmup syntheses executed for real:
-	// cells that could not replay plus one per warm stream cached.
+	// ColdCells plus WarmStreams.
 	ColdWarmups int64
 	// CacheHits / CacheMisses are the process-wide experiment cache's
-	// counters (grids, tables, cells and warm states all share it).
+	// counters (grids, tables, cells and streams all share it).
 	CacheHits   int64
 	CacheMisses int64
 }
@@ -47,19 +58,33 @@ type ReuseStats struct {
 // last ResetReuse).
 func Reuse() ReuseStats {
 	hits, misses := sharedCache.Stats()
-	return ReuseStats{
-		WarmReplays: warmReplays.Load(),
-		ColdWarmups: coldWarmups.Load(),
-		CacheHits:   hits,
-		CacheMisses: misses,
+	r := ReuseStats{
+		WarmReplays:     warmReplays.Load(),
+		ColdCells:       coldCells.Load(),
+		WarmStreams:     warmStreams.Load(),
+		MeasuredStreams: measuredStreams.Load(),
+		CacheHits:       hits,
+		CacheMisses:     misses,
 	}
+	r.ColdWarmups = r.ColdCells + r.WarmStreams
+	return r
 }
 
-// ResetReuse zeroes the warm-replay/cold-warmup counters. The experiment
-// cache's own counters reset with ResetCache.
+// String renders the stats as the one-line `reuse:` summary deucereport
+// and benchwarm print. CI greps its ", 0 cold cells" on the gate.
+func (r ReuseStats) String() string {
+	return fmt.Sprintf("reuse: %d streams synthesized (%d warm, %d measured), %d cells replayed, %d cold cells; cache %d hits / %d misses",
+		r.WarmStreams+r.MeasuredStreams, r.WarmStreams, r.MeasuredStreams,
+		r.WarmReplays, r.ColdCells, r.CacheHits, r.CacheMisses)
+}
+
+// ResetReuse zeroes the reuse counters. The experiment cache's own
+// counters reset with ResetCache.
 func ResetReuse() {
 	warmReplays.Store(0)
-	coldWarmups.Store(0)
+	coldCells.Store(0)
+	warmStreams.Store(0)
+	measuredStreams.Store(0)
 }
 
 // RecordReuseMetrics publishes reuse effectiveness into a metrics

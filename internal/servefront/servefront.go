@@ -1,23 +1,20 @@
-// Package servefront is the sharded, single-writer-line serving front
-// end: S independent line-region shards, each owning a contiguous line
-// region backed by its own deuce.Memory-backed scheme instance and kvstore
-// region store behind its own mutex, with key→shard routing by hash.
-// Thousands of client goroutines hammering distinct keys land on disjoint
-// shards and never contend, while the per-shard lock serializes each
-// region exactly like a single-goroutine owner would — the same
-// single-writer-line discipline the deterministic timing engine enforces
-// via timing.ErrSharedLine (DESIGN.md §9), here made unviolable by
-// construction: a line belongs to exactly one shard, and only that
-// shard's lock holder can touch it.
+// Package servefront is the sharded serving front end (DESIGN.md §13):
+// S independent line-region shards, each a deuce.Memory of Lines/S lines
+// with its own kvstore region store behind its own mutex, and key→shard
+// routing by a mixed hash of the key.
 //
-// Per-shard scheme instances mirror exp.runPerfSharded: shard state
-// (cells, counters, epochs, scratch) is fully disjoint, so per-cell write
-// accounting stays exact and Stats can merge the per-shard deuce.Stats
-// integer counters bit-for-bit — the currency of the paper's evaluation
-// survives sharding untouched. The differential suite pins this: the
-// per-shard serialization order, replayed sequentially against a
-// single-lock store of the same region geometry, reproduces identical
-// final store contents and identical merged flip/write counts.
+// A line belongs to exactly one shard, and only the holder of that
+// shard's lock touches it, so each region sees the same serialized
+// single-writer order a single-goroutine owner would give it. Requests to
+// different shards share no state and proceed in parallel; requests to
+// one shard queue on its mutex.
+//
+// Shard state (cells, counters, epochs, scratch) is fully disjoint, so
+// per-shard write accounting stays exact and Stats merges the per-shard
+// deuce.Stats integer counters bit-for-bit. The differential suite pins
+// this: each shard's recorded serialization order, replayed sequentially
+// against a single-lock store of the same region geometry, reproduces
+// identical final store contents and identical merged flip/write counts.
 package servefront
 
 import (
